@@ -112,7 +112,7 @@ int main() {
     m.invocations = stats.invocations;
     m.io = stats.io;
     m.wall_seconds = wall;
-    m.charged_time = workload::ChargedTime(stats, catalog.functions(), {},
+    m.charged_time = workload::ChargedTime(stats, catalog.functions(),
                                            &m.charged_io, &m.charged_udf);
     std::printf("%-12s %12.3f %9.2fx %14llu %12.6g\n", m.algorithm.c_str(),
                 wall, serial_wall / wall,

@@ -172,7 +172,7 @@ int main() {
       m.invocations = stats.invocations;
       m.io = stats.io;
       m.wall_seconds = wall;
-      m.charged_time = workload::ChargedTime(stats, catalog.functions(), {},
+      m.charged_time = workload::ChargedTime(stats, catalog.functions(),
                                              &m.charged_io, &m.charged_udf);
       bars.push_back(std::move(m));
     }

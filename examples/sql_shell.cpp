@@ -504,8 +504,7 @@ int main() {
         const long long value = std::atoll(value_word.c_str());
         if (knob == "transfer" &&
             (value_word == "on" || value_word == "off")) {
-          // Both the cost model (plan choice) and the executor follow:
-          // ExecParamsFor copies the flag into ExecParams.
+          // Both the cost model (plan choice) and the executor follow.
           cost_params.predicate_transfer = (value_word == "on");
           std::printf("transfer %s\n", value_word.c_str());
         } else if (knob == "stats" &&
@@ -513,7 +512,7 @@ int main() {
           cost_params.use_collected_stats = (value_word == "on");
           std::printf("stats %s\n", value_word.c_str());
         } else if (knob == "workers" && value >= 1) {
-          cost_params.parallel_workers = static_cast<double>(value);
+          cost_params.parallel_workers = static_cast<size_t>(value);
           std::printf("workers %lld\n", value);
         } else if (knob == "batch" && value >= 1) {
           batch_size = static_cast<size_t>(value);
@@ -521,8 +520,7 @@ int main() {
         } else if (knob == "vector" &&
                    (value_word == "on" || value_word == "off")) {
           // Columnar batches + vectorized cheap-predicate kernels; the
-          // executor follows via ExecParamsFor, the cost model scales its
-          // (optional) cheap per-row charge.
+          // cost model scales its (optional) cheap per-row charge.
           cost_params.vectorized = (value_word == "on");
           std::printf("vector %s\n", value_word.c_str());
         } else if (knob == "plancache" &&
@@ -566,11 +564,15 @@ int main() {
       continue;
     }
 
+    // The session executes the strategy cost_params prices; of the
+    // executor's own knobs the shell sets only the batch size.
+    session->options().algorithm = algorithm;
+    session->options().cost_params = cost_params;
+    session->options().exec_params.batch_size = batch_size;
+
     // PREPARE/EXECUTE go straight through the session, which owns the
     // statement-name registry and the family-keyed plan acquisition.
     if (FirstWordIs(sql, "PREPARE") || FirstWordIs(sql, "EXECUTE")) {
-      session->options().algorithm = algorithm;
-      session->options().cost_params = cost_params;
       auto r = session->Execute(sql);
       if (!r.ok()) {
         std::printf("error: %s\n", r.status().ToString().c_str());
@@ -603,14 +605,6 @@ int main() {
     // the shared plan cache. EXPLAIN variants take the direct path below —
     // they exist to show a fresh optimization, not a cached one.
     if (kind == parser::StatementKind::kSelect) {
-      const bool cross_kill =
-          session->options().exec_params.transfer_cross_query_kill;
-      session->options().algorithm = algorithm;
-      session->options().cost_params = cost_params;
-      exec::ExecParams session_params = workload::ExecParamsFor(cost_params);
-      session_params.batch_size = batch_size;
-      session_params.transfer_cross_query_kill = cross_kill;
-      session->options().exec_params = session_params;
       auto r = session->Execute(body);
       if (!r.ok()) {
         std::printf("error: %s\n", r.status().ToString().c_str());

@@ -36,7 +36,10 @@
 # exact result/invocation parity across {vectorized off,on} x {1,4}
 # workers.
 #
-# A second pass rebuilds under ThreadSanitizer (-DPPP_SANITIZE=thread) and
+# A Release pass (-DCMAKE_BUILD_TYPE=Release, into build-release/)
+# rebuilds and reruns the suite at -O3, with src/obs/ still -Werror.
+#
+# A further pass rebuilds under ThreadSanitizer (-DPPP_SANITIZE=thread) and
 # reruns the suite with span tracing forced on (PPP_TRACE_SPANS=1) — the
 # parallel predicate evaluator, thread pool, sharded caches, the span
 # ring buffer, and ANALYZE's snapshot swap against running queries
@@ -384,6 +387,12 @@ if command -v python3 >/dev/null 2>&1; then
 else
   echo "python3 not found; skipped bench regression gate"
 fi
+
+# Release pass: the same suite at -O3, where GCC's optimizer raises
+# warnings the default build never sees; src/obs/ keeps -Werror here too.
+cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release
+cmake --build build-release -j "$(nproc)"
+ctest --test-dir build-release --output-on-failure -j "$(nproc)"
 
 if [[ "${SKIP_TSAN:-0}" != "1" ]]; then
   cmake -B "$TSAN_BUILD_DIR" -S . -DPPP_SANITIZE=thread

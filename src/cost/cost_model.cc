@@ -75,7 +75,7 @@ double CostModel::SortCost(double pages) const {
   const double passes =
       std::max(1.0, std::ceil(std::log(runs) / std::log(params_.sort_fanout)));
   // Each pass writes and re-reads every page.
-  return 2.0 * pages * passes * params_.seq_page_io;
+  return 2.0 * pages * passes * kSeqPageIo;
 }
 
 common::Result<const catalog::Table*> CostModel::ResolveTable(
@@ -133,8 +133,8 @@ double CostModel::JoinExtraCost(const plan::PlanNode& join, double outer_rows,
     }
     case plan::JoinMethod::kIndexNestLoop: {
       // Probe per outer tuple, then one random fetch per matching tuple.
-      io += outer_rows * params_.index_probe_ios * params_.rand_page_io;
-      io += outer_rows * inner_rows * s * params_.rand_page_io;
+      io += outer_rows * kIndexProbeIos * kRandPageIo;
+      io += outer_rows * inner_rows * s * kRandPageIo;
       break;
     }
     case plan::JoinMethod::kMerge: {
@@ -155,7 +155,7 @@ double CostModel::JoinExtraCost(const plan::PlanNode& join, double outer_rows,
       const double inner_pages = PagesFor(inner_rows, inner.est_width);
       if (std::min(outer_pages, inner_pages) > params_.buffer_pages) {
         // Grace hash join: partition both sides to disk and re-read.
-        io += 2.0 * (outer_pages + inner_pages) * params_.seq_page_io;
+        io += 2.0 * (outer_pages + inner_pages) * kSeqPageIo;
       }
       break;
     }
@@ -268,7 +268,7 @@ common::Status CostModel::Annotate(plan::PlanNode* node) const {
       node->est_rows_noexp = rows;
       node->est_width =
           rows > 0 ? pages * storage::kPageSize / rows : 100.0;
-      node->est_cost = pages * params_.seq_page_io;
+      node->est_cost = pages * kSeqPageIo;
       node->est_udf_cost = 0.0;
       node->est_order = std::nullopt;
       break;
@@ -285,8 +285,7 @@ common::Status CostModel::Annotate(plan::PlanNode* node) const {
       node->est_rows_noexp = rows;
       node->est_width = card > 0 ? pages * storage::kPageSize / card : 100.0;
       // One descent plus one unclustered fetch per matching tuple.
-      node->est_cost = params_.index_probe_ios * params_.rand_page_io +
-                       rows * params_.rand_page_io;
+      node->est_cost = kIndexProbeIos * kRandPageIo + rows * kRandPageIo;
       node->est_udf_cost = 0.0;
       node->est_order = node->alias + "." + node->index_column;
       break;
@@ -306,7 +305,9 @@ common::Status CostModel::Annotate(plan::PlanNode* node) const {
       // the effective parallelism. Cheap predicates and join primaries stay
       // serial (the executor does not parallelize them).
       const double effective_workers =
-          pred.is_expensive() ? std::max(1.0, params_.parallel_workers) : 1.0;
+          pred.is_expensive()
+              ? std::max(1.0, static_cast<double>(params_.parallel_workers))
+              : 1.0;
       const double udf_charge =
           evals * pred.cost_per_tuple / effective_workers;
       // Cheap predicates are free by default (cpu_tuple_cost = 0, the
@@ -314,8 +315,7 @@ common::Status CostModel::Annotate(plan::PlanNode* node) const {
       // column kernels divide the charge by their measured speedup.
       double cpu_charge = 0.0;
       if (!pred.is_expensive() && params_.cpu_tuple_cost > 0.0) {
-        const double speedup =
-            params_.vectorized ? std::max(1.0, params_.vector_speedup) : 1.0;
+        const double speedup = params_.vectorized ? kVectorSpeedup : 1.0;
         cpu_charge = child.est_rows * params_.cpu_tuple_cost / speedup;
       }
       node->est_rows = child.est_rows * pred.selectivity;
@@ -406,8 +406,7 @@ common::Status CostModel::Annotate(plan::PlanNode* node) const {
       node->est_rows_noexp = child.est_rows_noexp;
       node->est_width = child.est_width;
       node->est_cost = child.est_cost +
-                       PagesFor(child.est_rows, child.est_width) *
-                           params_.seq_page_io;
+                       PagesFor(child.est_rows, child.est_width) * kSeqPageIo;
       node->est_udf_cost = child.est_udf_cost;
       node->est_order = child.est_order;
       break;

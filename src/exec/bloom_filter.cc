@@ -71,7 +71,7 @@ void BloomTransfer::RecordProbes(uint64_t probed, uint64_t passed) {
   if (total_probed < min_probes) return;
   const double pass_rate = static_cast<double>(total_passed) /
                            static_cast<double>(total_probed);
-  if (pass_rate > kill_pass_rate) {
+  if (pass_rate > kTransferKillPassRate) {
     State expected = State::kReady;
     state_.compare_exchange_strong(expected, State::kKilled,
                                    std::memory_order_acq_rel);

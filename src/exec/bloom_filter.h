@@ -100,6 +100,10 @@ class BloomFilter {
   size_t block_mask_ = 0;
 };
 
+/// Observed pass rate above which a transferred filter is killed mid-query:
+/// it prunes too little to pay for its probes.
+inline constexpr double kTransferKillPassRate = 0.95;
+
 /// One sideways filter handoff from a hash join's build side to a scan on
 /// its probe side. The join (producer) publishes the filter once the build
 /// completes; the scan (consumer) probes each batch before any predicate
@@ -145,7 +149,7 @@ class BloomTransfer {
   }
 
   /// Records one probed batch. Once at least `min_probes` rows were probed,
-  /// a pass rate above `kill_pass_rate` kills the filter: it is pruning
+  /// a pass rate above kTransferKillPassRate kills the filter: it is pruning
   /// almost nothing, so the per-row probe is pure overhead.
   void RecordProbes(uint64_t probed, uint64_t passed);
 
@@ -177,9 +181,9 @@ class BloomTransfer {
   /// through. Negative when no negatives were observed yet.
   double MeasuredFpr() const;
 
-  /// Kill-switch knobs, set from ExecParams at creation.
+  /// Probes before the kill switch may fire, set from
+  /// ExecParams::transfer_min_probes at creation.
   uint64_t min_probes = 512;
-  double kill_pass_rate = 0.95;
 
  private:
   enum class State { kEmpty, kReady, kKilled };

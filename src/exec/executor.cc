@@ -260,7 +260,6 @@ common::Result<std::unique_ptr<Operator>> BuildExecutor(
             left_is_outer ? pred.right_table : pred.left_table,
             left_is_outer ? pred.right_column : pred.left_column);
         transfer->min_probes = ctx->params.transfer_min_probes;
-        transfer->kill_pass_rate = ctx->params.transfer_kill_pass_rate;
         // Cross-query kill memory (serving layer): if past executions of
         // this site killed the filter or measured it passing nearly
         // everything, don't rebuild it just to kill it again.
@@ -270,7 +269,7 @@ common::Result<std::unique_ptr<Operator>> BuildExecutor(
           if (history.has_value() &&
               history->probed >= ctx->params.transfer_min_probes &&
               (history->kills > 0 ||
-               history->PassRate() > ctx->params.transfer_kill_pass_rate)) {
+               history->PassRate() > kTransferKillPassRate)) {
             static obs::Counter* skipped_counter =
                 obs::MetricsRegistry::Global().GetCounter(
                     "exec.transfer.skipped_by_history");

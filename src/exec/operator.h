@@ -8,6 +8,7 @@
 #include "catalog/catalog.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
+#include "cost/cost_params.h"
 #include "exec/bloom_filter.h"
 #include "exec/pred_cache.h"
 #include "expr/evaluator.h"
@@ -36,13 +37,10 @@ enum class CacheMode {
   kFunction,
 };
 
-/// Execution-time knobs.
-struct ExecParams {
-  /// Master switch for the §5.1 memoization. Should match
-  /// cost::CostParams::predicate_caching so the optimizer models the
-  /// executor (workload::ExecParamsFor builds a consistent pair).
-  bool predicate_caching = true;
-
+/// Execution-time knobs. The fields the cost model also prices
+/// (predicate_caching, parallel_workers, vectorized, predicate_transfer)
+/// come from cost::ExecStrategy; the ones below are the executor's own.
+struct ExecParams : cost::ExecStrategy {
   CacheMode cache_mode = CacheMode::kPredicate;
 
   /// Per-cache entry bound (FIFO replacement); 0 = unbounded. The paper:
@@ -75,33 +73,9 @@ struct ExecParams {
   /// the batch wrappers).
   size_t batch_size = 1024;
 
-  /// Columnar fast path: scans decode pages straight into column-major
-  /// ColumnBatches and FilterOp runs cheap conjuncts as vectorized kernels
-  /// over a selection vector, evaluating expensive UDFs late against only
-  /// the surviving positions. Results and invocation counters are
-  /// identical either way (parity-tested); off forces the row-oriented
-  /// batch pipeline everywhere. Should match cost::CostParams::vectorized
-  /// (ExecParamsFor copies it).
-  bool vectorized = true;
-
-  /// Total threads (including the coordinator) that evaluate an expensive
-  /// filter predicate's batch concurrently. 1 = serial execution,
-  /// bit-identical to the tuple-at-a-time engine. Counters stay exact at
-  /// any setting; see ParallelPredicateEvaluator.
-  size_t parallel_workers = 1;
-
-  /// Predicate transfer: hash-join builds emit a Bloom filter over the
-  /// build-side join key, and probe-side scans pre-filter their rows
-  /// against it before any (expensive) predicate above them runs. Should
-  /// match cost::CostParams::predicate_transfer (ExecParamsFor copies it).
-  bool predicate_transfer = false;
-
-  /// Probes a transferred filter must see before the kill switch may fire.
+  /// Probes a transferred filter must see before the kill switch
+  /// (kTransferKillPassRate) may fire.
   uint64_t transfer_min_probes = 512;
-
-  /// Observed pass rate above which a transferred filter is killed
-  /// mid-query: it prunes too little to pay for its probes.
-  double transfer_kill_pass_rate = 0.95;
 
   /// Cross-query kill memory: before building a Bloom transfer, consult
   /// the profiler's history for the site and skip creation when the filter

@@ -1,11 +1,10 @@
 #ifndef PPP_OBS_PLAN_AUDIT_H_
 #define PPP_OBS_PLAN_AUDIT_H_
 
-#include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <string>
-#include <vector>
+
+#include "obs/ring.h"
 
 namespace ppp::obs {
 
@@ -45,9 +44,7 @@ struct OperatorAuditRecord {
 /// Process-wide bounded ring of OperatorAuditRecords, the backing store of
 /// the ppp_operator_audit system table. On by default; PPP_PLAN_AUDIT=0
 /// disables the audit walk (and with it the per-query q-error feed).
-/// Thread-safe with the same contract as QueryLog: appended by whichever
-/// thread closes an executor, snapshotted by concurrent introspection scans.
-class PlanAudit {
+class PlanAudit : public Ring<OperatorAuditRecord> {
  public:
   /// Rings hold operators, not queries; a 16-operator plan still leaves
   /// room for hundreds of recent queries at this default.
@@ -58,47 +55,6 @@ class PlanAudit {
   static PlanAudit& Global();
 
   PlanAudit();
-
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
-  void set_enabled(bool on) {
-    enabled_.store(on, std::memory_order_relaxed);
-  }
-
-  /// Appends one record; past capacity the oldest record is overwritten
-  /// (counted in evicted()). No-op while disabled.
-  void Append(OperatorAuditRecord record);
-
-  /// All retained records, oldest first.
-  std::vector<OperatorAuditRecord> Snapshot() const;
-
-  /// The most recent `n` records, oldest first.
-  std::vector<OperatorAuditRecord> Tail(size_t n) const;
-
-  size_t size() const;
-  /// Records ever appended (including since-evicted ones).
-  uint64_t total() const { return total_.load(std::memory_order_relaxed); }
-  /// Records overwritten by ring wraparound.
-  uint64_t evicted() const {
-    return evicted_.load(std::memory_order_relaxed);
-  }
-
-  /// Shrinks or grows the ring; shrinking keeps the newest records.
-  void set_capacity(size_t n);
-  size_t capacity() const;
-
-  /// Drops all retained records and zeroes total/evicted.
-  void Clear();
-
- private:
-  std::atomic<bool> enabled_{true};
-  std::atomic<uint64_t> total_{0};
-  std::atomic<uint64_t> evicted_{0};
-  mutable std::mutex mu_;
-  /// Ring storage: `ring_[(head_ + i) % ring_.size()]` for i in [0, size_)
-  /// walks oldest to newest.
-  std::vector<OperatorAuditRecord> ring_;
-  size_t head_ = 0;
-  size_t size_ = 0;
 };
 
 }  // namespace ppp::obs

@@ -1,22 +1,15 @@
 #include "obs/plan_history.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <limits>
+
+#include "common/env.h"
 
 namespace ppp::obs {
 
-namespace {
-
-bool EnvDisabled(const char* name) {
-  const char* value = std::getenv(name);
-  return value != nullptr && value[0] == '0' && value[1] == '\0';
-}
-
-}  // namespace
-
 PlanHistory::PlanHistory() {
-  enabled_.store(!EnvDisabled("PPP_PLAN_HISTORY"), std::memory_order_relaxed);
+  enabled_.store(common::EnvFlag("PPP_PLAN_HISTORY", true),
+                 std::memory_order_relaxed);
 }
 
 PlanHistory& PlanHistory::Global() {

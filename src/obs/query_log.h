@@ -3,9 +3,9 @@
 
 #include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <string>
-#include <vector>
+
+#include "obs/ring.h"
 
 namespace ppp::obs {
 
@@ -62,10 +62,8 @@ struct QueryLogRecord {
 
 /// Process-wide bounded ring of QueryLogRecords, the backing store of the
 /// ppp_query_log system table. On by default; PPP_QUERY_LOG=0 (or \log off
-/// in the shell) disables appends. Thread-safe: records are appended from
-/// whichever thread closes the executor, and snapshots are taken by
-/// concurrent introspection scans.
-class QueryLog {
+/// in the shell) disables appends.
+class QueryLog : public Ring<QueryLogRecord> {
  public:
   static constexpr size_t kDefaultCapacity = 4096;
 
@@ -75,54 +73,15 @@ class QueryLog {
 
   QueryLog();
 
-  bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
-  void set_enabled(bool on) {
-    enabled_.store(on, std::memory_order_relaxed);
-  }
-
   /// Issues the next query id (1, 2, ...). Ids are issued even while
-  /// disabled so spans stay correlatable across a \log off window.
+  /// disabled, and Clear() does not reset them, so spans stay correlatable
+  /// across a \log off window (they are identities, not positions).
   uint64_t NextQueryId() {
     return next_id_.fetch_add(1, std::memory_order_relaxed) + 1;
   }
 
-  /// Appends one record; past capacity the oldest record is overwritten
-  /// (counted in evicted()). No-op while disabled.
-  void Append(QueryLogRecord record);
-
-  /// All retained records, oldest first.
-  std::vector<QueryLogRecord> Snapshot() const;
-
-  /// The most recent `n` records, oldest first.
-  std::vector<QueryLogRecord> Tail(size_t n) const;
-
-  size_t size() const;
-  /// Records ever appended (including since-evicted ones).
-  uint64_t total() const { return total_.load(std::memory_order_relaxed); }
-  /// Records overwritten by ring wraparound.
-  uint64_t evicted() const {
-    return evicted_.load(std::memory_order_relaxed);
-  }
-
-  /// Shrinks or grows the ring; shrinking keeps the newest records.
-  void set_capacity(size_t n);
-  size_t capacity() const;
-
-  /// Drops all retained records and zeroes total/evicted. Query ids keep
-  /// increasing (they are identities, not positions).
-  void Clear();
-
  private:
-  std::atomic<bool> enabled_{true};
   std::atomic<uint64_t> next_id_{0};
-  std::atomic<uint64_t> total_{0};
-  std::atomic<uint64_t> evicted_{0};
-  mutable std::mutex mu_;
-  /// Ring storage: `ring_[(head_ + i) % ring_.size()]` for i in [0, size_)
-  /// walks oldest to newest.
-  std::vector<QueryLogRecord> ring_;
-  size_t head_ = 0;
-  size_t size_ = 0;
 };
 
 }  // namespace ppp::obs

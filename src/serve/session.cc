@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "catalog/system_tables.h"
+#include "common/env.h"
 #include "common/string_util.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
@@ -244,12 +245,8 @@ std::string FirstKeyword(const std::string& sql) {
 
 SessionManager::SessionManager(workload::Database* db, Options options)
     : state_(std::make_shared<ServeState>(db, options.plan_cache)) {
-  state_->plan_cache_enabled = options.plan_cache_enabled;
-  const char* env = std::getenv("PPP_PLAN_CACHE");
-  if (env != nullptr && env[0] == '0' && env[1] == '\0') {
-    state_->plan_cache_enabled = false;
-  }
-  state_->share_predicate_caches = options.share_predicate_caches;
+  state_->plan_cache_enabled =
+      options.plan_cache_enabled && common::EnvFlag("PPP_PLAN_CACHE", true);
 
   {
     std::lock_guard<std::mutex> lock(g_states_mu);
@@ -472,12 +469,12 @@ common::Result<QueryResult> Session::RunPlan(
   result.optimize_seconds = SecondsSince(plan_start);
   result.plan = plan;
 
-  // Execute on the session's persistent context. Shared engine stores are
-  // wired per query (cheap pointer writes) so manager-level toggles apply
-  // immediately.
+  // Execute on the session's persistent context, running the strategy
+  // cost_params priced. Shared engine stores are wired per query (cheap
+  // pointer writes).
   ctx_.params = options_.exec_params;
-  ctx_.shared_caches =
-      state_->share_predicate_caches ? &state_->shared_caches : nullptr;
+  static_cast<cost::ExecStrategy&>(ctx_.params) = options_.cost_params;
+  ctx_.shared_caches = &state_->shared_caches;
   ctx_.log_hints.text_hash = text_hash;
   ctx_.log_hints.algorithm = algorithm_name;
   ctx_.log_hints.optimize_seconds = result.optimize_seconds;

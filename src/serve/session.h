@@ -25,11 +25,15 @@
 namespace ppp::serve {
 
 /// Per-session planning/execution configuration. Each session owns its
-/// copy (the per-session isolation of the tentpole); the shared engine
-/// context lives in the manager.
+/// copy; the shared engine context lives in the manager.
 struct SessionOptions {
   optimizer::Algorithm algorithm = optimizer::Algorithm::kMigration;
+  /// Prices plans, and sets how they run: the session executes with the
+  /// cost::ExecStrategy fields of cost_params (caching, workers,
+  /// vectorized, transfer), so it runs the strategy it priced.
   cost::CostParams cost_params;
+  /// Executor-only fields (cache bounds, batch size, transfer kill
+  /// memory); its cost::ExecStrategy fields are ignored.
   exec::ExecParams exec_params;
   /// Probe/fill the manager's plan cache for this session's queries.
   bool use_plan_cache = true;
@@ -100,7 +104,6 @@ struct ServeState {
   PlanCache plan_cache;
   exec::SharedPredicateCacheRegistry shared_caches;
   bool plan_cache_enabled = true;
-  bool share_predicate_caches = true;
 
   std::mutex mu;
   uint64_t next_session_id = 1;
@@ -201,10 +204,6 @@ class SessionManager {
     PlanCache::Options plan_cache;
     /// Master plan-cache switch; overridden to off by PPP_PLAN_CACHE=0.
     bool plan_cache_enabled = true;
-    /// Cross-session §5.1 predicate-cache sharing.
-    bool share_predicate_caches = true;
-    /// Default configuration handed to new sessions.
-    SessionOptions session_defaults;
   };
 
   explicit SessionManager(workload::Database* db)

@@ -99,28 +99,23 @@ common::Result<std::string> WriteBenchJson(
 
 exec::ExecParams ExecParamsFor(const cost::CostParams& cost_params) {
   exec::ExecParams exec_params;
-  exec_params.predicate_caching = cost_params.predicate_caching;
-  exec_params.parallel_workers = static_cast<size_t>(
-      std::max(1.0, cost_params.parallel_workers));
-  exec_params.predicate_transfer = cost_params.predicate_transfer;
-  exec_params.vectorized = cost_params.vectorized;
+  static_cast<cost::ExecStrategy&>(exec_params) = cost_params;
   return exec_params;
 }
 
 double ChargedTime(const exec::ExecStats& stats,
                    const catalog::FunctionRegistry& functions,
-                   const cost::CostParams& params, double* io_part,
-                   double* udf_part) {
+                   double* io_part, double* udf_part) {
   const double io =
-      static_cast<double>(stats.io.sequential_reads) * params.seq_page_io +
-      static_cast<double>(stats.io.random_reads) * params.rand_page_io +
-      static_cast<double>(stats.io.writes) * params.seq_page_io;
+      static_cast<double>(stats.io.sequential_reads) * cost::kSeqPageIo +
+      static_cast<double>(stats.io.random_reads) * cost::kRandPageIo +
+      static_cast<double>(stats.io.writes) * cost::kSeqPageIo;
   double udf = 0.0;
   for (const auto& [name, count] : stats.invocations) {
     auto def = functions.Lookup(name);
     if (def.ok() && (*def)->charge_invocations) {
       udf += static_cast<double>(count) * (*def)->cost_per_call *
-             params.rand_page_io;
+             cost::kRandPageIo;
     }
   }
   if (io_part != nullptr) *io_part = io;
@@ -195,8 +190,8 @@ common::Result<Measurement> RunWithAlgorithm(
   m.output_rows = stats.output_rows;
   m.invocations = stats.invocations;
   m.io = stats.io;
-  m.charged_time = ChargedTime(stats, db->catalog().functions(), cost_params,
-                               &m.charged_io, &m.charged_udf);
+  m.charged_time = ChargedTime(stats, db->catalog().functions(), &m.charged_io,
+                               &m.charged_udf);
   if (collect_explain && root != nullptr) {
     m.explain_text = exec::RenderExplainAnalyze(*result.plan, *root,
                                                 &db->catalog().functions());

@@ -53,18 +53,15 @@ struct Measurement {
 common::Result<std::string> WriteBenchJson(
     const std::string& name, const std::vector<Measurement>& measurements);
 
-/// Execution parameters consistent with `cost_params`: the knobs shared by
-/// optimizer and executor (predicate_caching, parallel_workers,
-/// predicate_transfer) are copied from the cost side, so the optimizer
-/// always models what the executor does. Use this instead of setting the
-/// two flags independently.
+/// Default execution parameters running the strategy `cost_params` prices
+/// (its cost::ExecStrategy fields).
 exec::ExecParams ExecParamsFor(const cost::CostParams& cost_params);
 
-/// Converts executor stats into charged relative time under `params`.
+/// Converts executor stats into charged relative time: page I/Os at
+/// cost::kSeqPageIo / kRandPageIo plus invocations × declared cost.
 double ChargedTime(const exec::ExecStats& stats,
                    const catalog::FunctionRegistry& functions,
-                   const cost::CostParams& params, double* io_part,
-                   double* udf_part);
+                   double* io_part, double* udf_part);
 
 /// Optimizes `spec` with `algorithm`, evicts the buffer pool (cold start,
 /// as the paper's one-query-at-a-time measurements imply), executes, and

@@ -129,7 +129,6 @@ TEST(BloomTransferTest, PublishesExactlyOnce) {
 TEST(BloomTransferTest, KillSwitchFiresOnUselessFilter) {
   BloomTransfer transfer("r", "key", "s", "key");
   transfer.min_probes = 100;
-  transfer.kill_pass_rate = 0.95;
   transfer.Publish(std::make_unique<BloomFilter>(10));
   ASSERT_NE(transfer.ActiveFilter(), nullptr);
 
@@ -147,7 +146,6 @@ TEST(BloomTransferTest, KillSwitchFiresOnUselessFilter) {
 TEST(BloomTransferTest, SelectiveFilterSurvives) {
   BloomTransfer transfer("r", "key", "s", "key");
   transfer.min_probes = 100;
-  transfer.kill_pass_rate = 0.95;
   transfer.Publish(std::make_unique<BloomFilter>(10));
   transfer.RecordProbes(1000, 400);  // 40% pass rate: pruning plenty.
   EXPECT_FALSE(transfer.killed());

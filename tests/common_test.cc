@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <set>
 
+#include "common/env.h"
 #include "common/random.h"
 #include "common/status.h"
 #include "common/string_util.h"
@@ -109,6 +111,23 @@ TEST(StringUtilTest, StringPrintf) {
   EXPECT_EQ(StringPrintf("%d-%s", 3, "x"), "3-x");
   EXPECT_EQ(StringPrintf("%.2f", 1.5), "1.50");
   EXPECT_EQ(StringPrintf("empty"), "empty");
+}
+
+TEST(EnvFlagTest, UnsetOrEmptyGivesTheDefaultAndOnlyZeroTurnsOff) {
+  constexpr const char* kName = "PPP_ENV_FLAG_TEST";
+  for (const bool default_on : {false, true}) {
+    ::unsetenv(kName);
+    EXPECT_EQ(EnvFlag(kName, default_on), default_on);
+    ::setenv(kName, "", 1);
+    EXPECT_EQ(EnvFlag(kName, default_on), default_on);
+    ::setenv(kName, "0", 1);
+    EXPECT_FALSE(EnvFlag(kName, default_on));
+    ::setenv(kName, "1", 1);
+    EXPECT_TRUE(EnvFlag(kName, default_on));
+    ::setenv(kName, "false", 1);  // Only "0" means off.
+    EXPECT_TRUE(EnvFlag(kName, default_on));
+  }
+  ::unsetenv(kName);
 }
 
 TEST(RandomTest, DeterministicForSameSeed) {

@@ -385,7 +385,7 @@ TEST_F(CostModelTest, VectorizedModeDividesCheapCpuCharge) {
   }
 
   // With cpu_tuple_cost set, scalar mode charges rows * cost and
-  // vectorized mode divides the charge by vector_speedup.
+  // vectorized mode divides the charge by kVectorSpeedup.
   CostParams params;
   params.cpu_tuple_cost = 0.01;
   params.vectorized = false;
@@ -405,7 +405,7 @@ TEST_F(CostModelTest, VectorizedModeDividesCheapCpuCharge) {
         plan::MakeFilter(plan::MakeSeqScan("r", "r"), Analyze(cheap));
     ASSERT_TRUE(model.Annotate(plan.get()).ok());
     EXPECT_DOUBLE_EQ(plan->est_cost - plan->children[0]->est_cost,
-                     scalar_cost / params.vector_speedup);
+                     scalar_cost / kVectorSpeedup);
   }
 
   // Expensive filters are charged through est_udf_cost only — the vector

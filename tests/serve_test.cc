@@ -12,6 +12,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "exec/shared_caches.h"
@@ -92,16 +93,39 @@ TEST(NormalizeTest, IdentifierCaseIsPreserved) {
 // PlacementParamsHash
 
 TEST(PlanCacheKeyTest, PlacementKnobsChangeParamsHash) {
-  cost::CostParams base;
+  const cost::CostParams base;
   const uint64_t h = serve::PlacementParamsHash(base, "migration");
   EXPECT_NE(h, serve::PlacementParamsHash(base, "pushdown"));
-  cost::CostParams caching_off = base;
-  caching_off.predicate_caching = false;
-  EXPECT_NE(h, serve::PlacementParamsHash(caching_off, "migration"));
-  cost::CostParams workers = base;
-  workers.parallel_workers = 4;
-  EXPECT_NE(h, serve::PlacementParamsHash(workers, "migration"));
   EXPECT_EQ(h, serve::PlacementParamsHash(base, "migration"));
+  // Every settable CostParams field keys the slot.
+  const std::vector<std::pair<const char*, void (*)(cost::CostParams*)>>
+      flips = {
+          {"predicate_caching",
+           [](cost::CostParams* p) { p->predicate_caching = false; }},
+          {"parallel_workers",
+           [](cost::CostParams* p) { p->parallel_workers = 4; }},
+          {"vectorized", [](cost::CostParams* p) { p->vectorized = false; }},
+          {"predicate_transfer",
+           [](cost::CostParams* p) { p->predicate_transfer = true; }},
+          {"buffer_pages", [](cost::CostParams* p) { p->buffer_pages = 64; }},
+          {"sort_fanout", [](cost::CostParams* p) { p->sort_fanout = 4; }},
+          {"per_input_selectivity",
+           [](cost::CostParams* p) { p->per_input_selectivity = false; }},
+          {"current_cardinality_estimate",
+           [](cost::CostParams* p) {
+             p->current_cardinality_estimate = false;
+           }},
+          {"use_feedback", [](cost::CostParams* p) { p->use_feedback = true; }},
+          {"use_collected_stats",
+           [](cost::CostParams* p) { p->use_collected_stats = false; }},
+          {"cpu_tuple_cost",
+           [](cost::CostParams* p) { p->cpu_tuple_cost = 0.01; }},
+      };
+  for (const auto& [field, flip] : flips) {
+    cost::CostParams changed = base;
+    flip(&changed);
+    EXPECT_NE(h, serve::PlacementParamsHash(changed, "migration")) << field;
+  }
 }
 
 // --------------------------------------------------------------------------
@@ -211,7 +235,6 @@ TEST_F(ServeTest, DifferentCostParamsGetDifferentSlots) {
   auto a = manager.CreateSession();
   serve::SessionOptions options;
   options.cost_params.predicate_caching = false;
-  options.exec_params.predicate_caching = false;
   auto b = manager.CreateSession(options);
   const std::string sql = QueryTexts()[0];
   ASSERT_TRUE(a->Execute(sql).ok());
@@ -221,6 +244,34 @@ TEST_F(ServeTest, DifferentCostParamsGetDifferentSlots) {
   // plan (it was optimized under different costs).
   EXPECT_FALSE(r->plan_cache_hit);
   EXPECT_EQ(manager.plan_cache().entries(), 2u);
+}
+
+// A session runs the strategy its cost_params priced: asking the model for
+// predicate transfer is enough for the executor to build and probe the
+// Bloom filters.
+TEST_F(ServeTest, CostParamsTransferRunsInTheExecutor) {
+  obs::Counter* probed =
+      obs::MetricsRegistry::Global().GetCounter("exec.transfer.probed");
+  obs::Counter* pruned =
+      obs::MetricsRegistry::Global().GetCounter("exec.transfer.pruned");
+  const uint64_t probed_before = probed->value();
+  const uint64_t pruned_before = pruned->value();
+  obs::QueryLog::Global().Clear();
+
+  serve::SessionManager manager(&db_);
+  serve::SessionOptions options;
+  options.cost_params.predicate_transfer = true;
+  auto session = manager.CreateSession(options);
+  // Q3: a hash join on t1.ua = t10.u100 whose t1 probe side carries the
+  // costly predicate.
+  auto r = session->Execute(QueryTexts()[2]);
+  ASSERT_TRUE(r.ok()) << r.status();
+
+  EXPECT_GT(probed->value(), probed_before);
+  EXPECT_GT(pruned->value(), pruned_before);
+  const auto records = obs::QueryLog::Global().Snapshot();
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_GT(records[0].transfer_pruned, 0u);
 }
 
 TEST_F(ServeTest, ByteBoundedLruEviction) {

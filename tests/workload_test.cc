@@ -120,11 +120,9 @@ TEST_F(WorkloadTest, ChargedTimeCombinesIoAndUdf) {
   stats.io.sequential_reads = 100;
   stats.io.random_reads = 50;
   stats.invocations["costly100"] = 7;
-  cost::CostParams params;
   double io = 0;
   double udf = 0;
-  const double total = ChargedTime(stats, db_.catalog().functions(), params,
-                                   &io, &udf);
+  const double total = ChargedTime(stats, db_.catalog().functions(), &io, &udf);
   EXPECT_DOUBLE_EQ(io, 150);
   EXPECT_DOUBLE_EQ(udf, 700);
   EXPECT_DOUBLE_EQ(total, 850);
@@ -134,7 +132,7 @@ TEST_F(WorkloadTest, UnknownFunctionInStatsIsIgnored) {
   exec::ExecStats stats;
   stats.invocations["not_registered"] = 100;
   const double total =
-      ChargedTime(stats, db_.catalog().functions(), {}, nullptr, nullptr);
+      ChargedTime(stats, db_.catalog().functions(), nullptr, nullptr);
   EXPECT_DOUBLE_EQ(total, 0);
 }
 
