@@ -19,7 +19,7 @@ int main() {
 
   uint64_t total_pages = 0;
   for (int k = 1; k <= 10; ++k) {
-    const std::string name = "t" + std::to_string(k);
+    const std::string name = workload::BenchmarkTableName(k);
     auto table = db->catalog().GetTable(name);
     if (!table.ok()) continue;
     const catalog::Table* t = *table;

@@ -59,7 +59,8 @@ int main() {
                           2,     5,    10,   50,  100, 1000};
   int variant = 0;
   for (const double cost : costs) {
-    const std::string fn = "f" + std::to_string(variant++);
+    std::string fn = "f";
+    fn += std::to_string(variant++);
     st = db.catalog().functions().RegisterCostlyPredicate(fn, cost, 0.5);
     PPP_CHECK(st.ok());
     const std::string sql =

@@ -14,6 +14,11 @@ where the check_build.sh smoke runs drop them). Two failure classes:
     invocation counts. These are exact and deterministic (the paper's
     measurement currency), so any delta is a real behavior change —
     a placement flip, a caching bug, a transfer regression — never noise.
+  * charged-cost drift: any change in charged_time, charged_io or
+    charged_udf, the counters the paper's figures are drawn from. Exact
+    for the same reason. Buffer hits (io.buffer_hits) are not charged and
+    stay ungated: an executor that pins a page once per page instead of
+    once per record lowers them without changing any figure.
 
 A third check closes a hole the per-file comparison cannot see: every
 baselined bench name must appear in BENCH_summary.json (the aggregate the
@@ -32,6 +37,7 @@ import sys
 
 WALL_REGRESSION_LIMIT = 0.25
 WALL_FLOOR_SECONDS = 0.05
+CHARGED_FIELDS = ("charged_time", "charged_io", "charged_udf")
 
 
 def load(path):
@@ -72,6 +78,16 @@ def compare(name, baseline, fresh):
             failures.append(
                 f"{name}/{algo}: invocation counts changed "
                 f"(baseline, fresh): {drift}")
+
+        charged_drift = {
+            field: (base.get(field), new.get(field))
+            for field in CHARGED_FIELDS
+            if base.get(field) != new.get(field)
+        }
+        if charged_drift:
+            failures.append(
+                f"{name}/{algo}: charged cost changed "
+                f"(baseline, fresh): {charged_drift}")
 
         base_wall = base.get("wall_seconds", 0.0)
         new_wall = new.get("wall_seconds", 0.0)

@@ -36,8 +36,19 @@
 # exact result/invocation parity across {vectorized off,on} x {1,4}
 # workers.
 #
+# The five paper-figure benches that write BENCH_*.json (Figs. 3, 4, 5, 8
+# and 9) run at PPP_SCALE=40 so the regression gate compares their charged
+# time, charged I/O, charged UDF cost and invocations against the
+# baselines exactly.
+#
 # A Release pass (-DCMAKE_BUILD_TYPE=Release, into build-release/)
-# rebuilds and reruns the suite at -O3, with src/obs/ still -Werror.
+# rebuilds and reruns the suite at -O3, with src/obs/ still -Werror; the
+# pass fails if its build log holds any compiler warning.
+#
+# An ASan+UBSan pass (-DPPP_SANITIZE=address,undefined, into build-asan/)
+# reruns the suite and the Fig. 9 bench, whose nested-loop joins read
+# string views into ColumnBatch arenas. UBSan findings abort the run.
+# Skip it with SKIP_ASAN=1 when iterating.
 #
 # A further pass rebuilds under ThreadSanitizer (-DPPP_SANITIZE=thread) and
 # reruns the suite with span tracing forced on (PPP_TRACE_SPANS=1) — the
@@ -353,6 +364,16 @@ PPP_SCALE=40 PPP_BENCH_JSON=1 "$BUILD_DIR/bench/bench_server"
   echo "missing BENCH_server.json" >&2; exit 1;
 }
 
+# Paper-figure benches: placement, charged cost and invocation counts are
+# gated exactly against bench/baselines/ below.
+for fig in fig3_query1 fig4_query2 fig5_query3 fig8_query4 fig9_query5; do
+  rm -f "BENCH_${fig}.json"
+  PPP_SCALE=40 PPP_BENCH_JSON=1 "$BUILD_DIR/bench/bench_${fig}" >/dev/null
+  [[ -s "BENCH_${fig}.json" ]] || {
+    echo "missing BENCH_${fig}.json" >&2; exit 1;
+  }
+done
+
 # Aggregate every BENCH_*.json the smoke runs produced into one
 # BENCH_summary.json keyed by bench name. Runs before the regression gate
 # so the gate can check every baselined bench name appears in it.
@@ -389,10 +410,27 @@ else
 fi
 
 # Release pass: the same suite at -O3, where GCC's optimizer raises
-# warnings the default build never sees; src/obs/ keeps -Werror here too.
+# warnings the default build never sees; src/obs/ keeps -Werror here too,
+# and a warning anywhere else fails the pass (the log covers what this run
+# compiled, so a clean checkout checks every file).
 cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release
-cmake --build build-release -j "$(nproc)"
+cmake --build build-release -j "$(nproc)" 2>&1 | tee build-release/build.log
+if grep -q "warning:" build-release/build.log; then
+  echo "Release build is not warning-clean:" >&2
+  grep "warning:" build-release/build.log >&2
+  exit 1
+fi
 ctest --test-dir build-release --output-on-failure -j "$(nproc)"
+
+if [[ "${SKIP_ASAN:-0}" != "1" ]]; then
+  cmake -B build-asan -S . -DPPP_SANITIZE=address,undefined
+  cmake --build build-asan -j "$(nproc)"
+  export UBSAN_OPTIONS="halt_on_error=1:print_stacktrace=1"
+  ctest --test-dir build-asan --output-on-failure -j "$(nproc)"
+  PPP_SCALE=40 PPP_BENCH_JSON=0 "build-asan/bench/bench_fig9_query5" \
+    >/dev/null
+  unset UBSAN_OPTIONS
+fi
 
 if [[ "${SKIP_TSAN:-0}" != "1" ]]; then
   cmake -B "$TSAN_BUILD_DIR" -S . -DPPP_SANITIZE=thread

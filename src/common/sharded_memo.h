@@ -107,8 +107,10 @@ class ShardedMemo {
   bool disabled() const { return disabled_.load(std::memory_order_acquire); }
 
   /// Returns the memoized value for `key`, running `compute` at most once
-  /// per distinct key. `compute` executes without any shard lock held.
-  V GetOrCompute(const std::string& key, const std::function<V()>& compute) {
+  /// per distinct key. `compute` executes without any shard lock held, and
+  /// `key` is not read once it starts (callers may reuse its buffer there).
+  template <typename Compute>
+  V GetOrCompute(const std::string& key, const Compute& compute) {
     const uint64_t probe =
         probes_.fetch_add(1, std::memory_order_relaxed) + 1;
     Shard& shard = shards_[ShardOf(key)];

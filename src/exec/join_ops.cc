@@ -57,20 +57,27 @@ common::Status NestedLoopJoinOp::NextImpl(types::Tuple* tuple, bool* eof) {
       // Rescan: the inner pipeline restarts and re-reads its pages.
       PPP_RETURN_IF_ERROR(inner_->Open());
       have_outer_ = true;
+      inner_batch_.Clear();
+      inner_pos_ = 0;
+      inner_eof_ = false;
     }
-    types::Tuple inner_tuple;
-    bool inner_eof = false;
-    PPP_RETURN_IF_ERROR(inner_->Next(&inner_tuple, &inner_eof));
-    if (inner_eof) {
+    const std::vector<uint32_t>& selection = inner_batch_.selection();
+    while (inner_pos_ < selection.size()) {
+      const uint32_t row = selection[inner_pos_++];
+      if (!primary_.has_value() ||
+          primary_->EvalPair(outer_tuple_, inner_batch_, row, &ctx_->eval)) {
+        *tuple = inner_batch_.ConcatRow(outer_tuple_, row);
+        *eof = false;
+        return common::Status::OK();
+      }
+    }
+    if (inner_eof_) {
       have_outer_ = false;
       continue;
     }
-    types::Tuple joined = types::Tuple::Concat(outer_tuple_, inner_tuple);
-    if (!primary_.has_value() || primary_->Eval(joined, &ctx_->eval)) {
-      *tuple = std::move(joined);
-      *eof = false;
-      return common::Status::OK();
-    }
+    PPP_RETURN_IF_ERROR(
+        inner_->NextColumnBatch(batch_size_, &inner_batch_, &inner_eof_));
+    inner_pos_ = 0;
   }
 }
 

@@ -14,9 +14,13 @@ namespace ppp::exec {
 
 /// Pipelined nested-loop join: the inner subtree is re-Open()ed for every
 /// outer tuple, re-reading its pages through the buffer pool — the
-/// behaviour the paper's `j{R}|S|` cost term describes. The primary
-/// predicate (possibly expensive, possibly absent for a cross product) is
-/// evaluated on each candidate pair through a CachedPredicate.
+/// behaviour the paper's `j{R}|S|` cost term describes. Each rescan is
+/// pulled as ColumnBatches (scans decode a page per pool fetch; row-only
+/// inners go through the default adapter) and walked along the selection
+/// vector. The primary predicate (possibly expensive, possibly absent for a
+/// cross product) is evaluated on each candidate pair through
+/// CachedPredicate::EvalPair, which probes the §5.1 cache by key; a joined
+/// tuple is built only for pairs that pass (and inside a cache miss).
 class NestedLoopJoinOp : public Operator {
  public:
   NestedLoopJoinOp(std::unique_ptr<Operator> outer,
@@ -40,6 +44,11 @@ class NestedLoopJoinOp : public Operator {
   ExecContext* ctx_;
   types::Tuple outer_tuple_;
   bool have_outer_ = false;
+  /// The current rescan's inner batch, the next position in its selection,
+  /// and whether the rescan has delivered its last batch.
+  types::ColumnBatch inner_batch_;
+  size_t inner_pos_ = 0;
+  bool inner_eof_ = false;
 };
 
 /// Index nested-loop join: for each outer tuple, probes the inner table's

@@ -6,6 +6,7 @@
 #include "exec/shared_caches.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
+#include "types/key_encoder.h"
 
 namespace ppp::exec {
 
@@ -261,21 +262,51 @@ common::Result<CachedPredicate> CachedPredicate::Bind(
   return out;
 }
 
+namespace {
+
+/// Per-thread key buffer: Eval runs concurrently on the parallel
+/// evaluator's workers. Reusing it inside a compute callback is safe — the
+/// memo stops reading the key before the callback starts.
+types::KeyEncoder& KeyScratch() {
+  thread_local types::KeyEncoder encoder;
+  return encoder;
+}
+
+}  // namespace
+
+// The key is the values of the predicate's input columns, in the storage
+// wire format: the paper's "hash table keyed on the bindings of the input
+// variables". Eval and EvalPair encode the same binding to the same bytes,
+// so Filters and joins share cache entries.
+
 bool CachedPredicate::Eval(const types::Tuple& tuple,
                            expr::EvalContext* ctx) {
-  if (!cache_enabled_ || cache_->disabled()) {
-    return bound_->EvalBool(tuple, ctx);
-  }
-  // Key = the values of the predicate's input columns, serialized. This is
-  // the paper's "hash table keyed on the bindings of the input variables".
-  std::vector<types::Value> key_values;
-  key_values.reserve(bound_->column_indexes().size());
-  for (size_t index : bound_->column_indexes()) {
-    key_values.push_back(tuple.Get(index));
-  }
-  const std::string key = types::Tuple(std::move(key_values)).Serialize();
+  if (!cache_enabled()) return bound_->EvalBool(tuple, ctx);
+  types::KeyEncoder& key = KeyScratch();
+  key.Begin(bound_->column_indexes().size());
+  for (size_t index : bound_->column_indexes()) key.Add(tuple.Get(index));
   return cache_->GetOrCompute(
-      key, [&] { return bound_->EvalBool(tuple, ctx); });
+      key.bytes(), [&] { return bound_->EvalBool(tuple, ctx); });
+}
+
+bool CachedPredicate::EvalPair(const types::Tuple& outer,
+                               const types::ColumnBatch& inner, uint32_t row,
+                               expr::EvalContext* ctx) {
+  const auto eval_joined = [&] {
+    return bound_->EvalBool(inner.ConcatRow(outer, row), ctx);
+  };
+  if (!cache_enabled()) return eval_joined();
+  const size_t outer_width = outer.NumValues();
+  types::KeyEncoder& key = KeyScratch();
+  key.Begin(bound_->column_indexes().size());
+  for (size_t index : bound_->column_indexes()) {
+    if (index < outer_width) {
+      key.Add(outer.Get(index));
+    } else {
+      key.AddCell(inner, index - outer_width, row);
+    }
+  }
+  return cache_->GetOrCompute(key.bytes(), eval_joined);
 }
 
 }  // namespace ppp::exec

@@ -298,6 +298,14 @@ class CachedPredicate {
   /// not invoke any function.
   bool Eval(const types::Tuple& tuple, expr::EvalContext* ctx);
 
+  /// Evaluates on the concatenation of `outer` and row `row` of `inner` (a
+  /// nested-loop join's candidate pair) without building it unless the
+  /// predicate has to run: on a cache miss, or with caching off. The cache
+  /// key is encoded straight from the outer values and the inner cells, to
+  /// the same bytes Eval would encode for the joined tuple.
+  bool EvalPair(const types::Tuple& outer, const types::ColumnBatch& inner,
+                uint32_t row, expr::EvalContext* ctx);
+
   bool cache_enabled() const {
     return cache_enabled_ && !cache_->disabled();
   }

@@ -2,7 +2,6 @@
 #define PPP_EXEC_PRED_CACHE_H_
 
 #include <cstdint>
-#include <functional>
 #include <string>
 
 #include "common/sharded_memo.h"
@@ -43,8 +42,8 @@ class ShardedPredicateCache {
 
   /// Returns the cached verdict for `key`, evaluating `compute` at most
   /// once per distinct key (concurrent probers of an in-flight key wait).
-  bool GetOrCompute(const std::string& key,
-                    const std::function<bool()>& compute) {
+  template <typename Compute>
+  bool GetOrCompute(const std::string& key, const Compute& compute) {
     return memo_.GetOrCompute(key, compute);
   }
 

@@ -46,9 +46,16 @@ std::string Expr::ToString() const {
     case ExprKind::kComparison:
       return children[0]->ToString() + " " + CompareOpSymbol(compare_op) +
              " " + children[1]->ToString();
-    case ExprKind::kArithmetic:
-      return "(" + children[0]->ToString() + " " + ArithOpSymbol(arith_op) +
-             " " + children[1]->ToString() + ")";
+    case ExprKind::kArithmetic: {
+      std::string out = "(";
+      out += children[0]->ToString();
+      out += ' ';
+      out += ArithOpSymbol(arith_op);
+      out += ' ';
+      out += children[1]->ToString();
+      out += ')';
+      return out;
+    }
     case ExprKind::kFunctionCall: {
       std::vector<std::string> args;
       args.reserve(children.size());
@@ -56,13 +63,20 @@ std::string Expr::ToString() const {
       return function_name + "(" + common::Join(args, ", ") + ")";
     }
     case ExprKind::kAnd:
-      return "(" + children[0]->ToString() + " AND " +
-             children[1]->ToString() + ")";
-    case ExprKind::kOr:
-      return "(" + children[0]->ToString() + " OR " +
-             children[1]->ToString() + ")";
-    case ExprKind::kNot:
-      return "NOT (" + children[0]->ToString() + ")";
+    case ExprKind::kOr: {
+      std::string out = "(";
+      out += children[0]->ToString();
+      out += kind == ExprKind::kAnd ? " AND " : " OR ";
+      out += children[1]->ToString();
+      out += ')';
+      return out;
+    }
+    case ExprKind::kNot: {
+      std::string out = "NOT (";
+      out += children[0]->ToString();
+      out += ')';
+      return out;
+    }
     case ExprKind::kInSubquery: {
       std::string from;
       std::string where;

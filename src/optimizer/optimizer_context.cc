@@ -83,7 +83,10 @@ std::string OptimizerContext::TableSetToString(TableSet set) const {
   for (size_t i = 0; i < spec_.tables.size(); ++i) {
     if ((set >> i) & 1) names.push_back(spec_.tables[i].alias);
   }
-  return "{" + common::Join(names, ",") + "}";
+  std::string out = "{";
+  out += common::Join(names, ",");
+  out += '}';
+  return out;
 }
 
 }  // namespace ppp::optimizer

@@ -35,6 +35,13 @@ void AppendToken(std::string* out, const std::string& token) {
   out->append(token);
 }
 
+/// "$N", the family text's hole for the N-th parameter.
+std::string Placeholder(size_t n) {
+  std::string out = "$";
+  out += std::to_string(n);
+  return out;
+}
+
 }  // namespace
 
 common::Result<NormalizedQuery> NormalizeSql(const std::string& sql) {
@@ -76,8 +83,7 @@ common::Result<NormalizedQuery> NormalizeSql(const std::string& sql) {
       out.param_kinds.push_back(literal.find('.') == std::string::npos
                                     ? ParamKind::kInt
                                     : ParamKind::kFloat);
-      AppendToken(&out.family_text,
-                  "$" + std::to_string(out.params.size()));
+      AppendToken(&out.family_text, Placeholder(out.params.size()));
       continue;
     }
     if (c == '$') {
@@ -121,8 +127,7 @@ common::Result<NormalizedQuery> NormalizeSql(const std::string& sql) {
       AppendToken(&out.text, "'" + literal + "'");
       out.params.push_back(literal);
       out.param_kinds.push_back(ParamKind::kString);
-      AppendToken(&out.family_text,
-                  "$" + std::to_string(out.params.size()));
+      AppendToken(&out.family_text, Placeholder(out.params.size()));
       continue;
     }
     static const char* kTwoChar[] = {"<=", ">=", "<>", "!="};

@@ -102,7 +102,12 @@ std::string EquiDepthHistogram::ToString() const {
     std::snprintf(buf, sizeof(buf), "#%llu/%llu ",
                   static_cast<unsigned long long>(b.count),
                   static_cast<unsigned long long>(b.distinct));
-    out += "[" + b.lo.ToString() + ".." + b.hi.ToString() + "]" + buf;
+    out += '[';
+    out += b.lo.ToString();
+    out += "..";
+    out += b.hi.ToString();
+    out += ']';
+    out += buf;
   }
   if (!out.empty()) out.pop_back();
   return out;

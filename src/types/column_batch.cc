@@ -278,8 +278,13 @@ Value ColumnBatch::GetValue(size_t col_index, size_t row) const {
 }
 
 Tuple ColumnBatch::RowAsTuple(size_t row) const {
+  return ConcatRow(Tuple(), row);
+}
+
+Tuple ColumnBatch::ConcatRow(const Tuple& prefix, size_t row) const {
   std::vector<Value> values;
-  values.reserve(columns_.size());
+  values.reserve(prefix.NumValues() + columns_.size());
+  values.insert(values.end(), prefix.values().begin(), prefix.values().end());
   for (size_t c = 0; c < columns_.size(); ++c) {
     values.push_back(GetValue(c, row));
   }

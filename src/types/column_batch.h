@@ -90,6 +90,8 @@ class ColumnBatch {
   bool IsNull(size_t col, size_t row) const;
   Value GetValue(size_t col, size_t row) const;
   Tuple RowAsTuple(size_t row) const;
+  /// The join output for `row`: `prefix`'s values followed by the row's.
+  Tuple ConcatRow(const Tuple& prefix, size_t row) const;
 
   /// Densifies: physically drops unselected rows so selection() becomes
   /// all-rows again. The single boundary pipeline breakers may use before

@@ -1,0 +1,42 @@
+#ifndef PPP_TYPES_KEY_ENCODER_H_
+#define PPP_TYPES_KEY_ENCODER_H_
+
+#include <cstddef>
+#include <string>
+
+#include "types/value.h"
+
+namespace ppp::types {
+
+class ColumnBatch;
+
+/// Writes a row of values in the storage wire format (a uint32 value count,
+/// then per value a type tag and its payload) into a reused buffer, one
+/// value at a time. This is the only encoder of that format:
+/// Tuple::Serialize writes through it, and the §5.1 predicate caches key on
+/// it — from Tuple values (Filter) and straight from ColumnBatch cells
+/// (nested-loop join) — so one binding encodes to the same bytes whichever
+/// operator probes a shared cache.
+class KeyEncoder {
+ public:
+  /// Starts a new row of `count` values, keeping the buffer's capacity.
+  void Begin(size_t count);
+
+  void Add(const Value& value);
+
+  /// Adds cell (`col`, `row`) of `batch` without boxing it into a Value;
+  /// the bytes equal Add(batch.GetValue(col, row)).
+  void AddCell(const ColumnBatch& batch, size_t col, size_t row);
+
+  const std::string& bytes() const { return bytes_; }
+
+  /// Moves the encoded row out, leaving the encoder empty.
+  std::string Take() { return std::move(bytes_); }
+
+ private:
+  std::string bytes_;
+};
+
+}  // namespace ppp::types
+
+#endif  // PPP_TYPES_KEY_ENCODER_H_

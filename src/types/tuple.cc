@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "common/string_util.h"
+#include "types/key_encoder.h"
 
 namespace ppp::types {
 
@@ -23,15 +24,6 @@ Tuple Tuple::Concat(Tuple&& left, const Tuple& right) {
 
 namespace {
 
-void AppendRaw(std::string* out, const void* data, size_t len) {
-  out->append(reinterpret_cast<const char*>(data), len);
-}
-
-template <typename T>
-void AppendPod(std::string* out, T v) {
-  AppendRaw(out, &v, sizeof(v));
-}
-
 template <typename T>
 bool ReadPod(const std::string& bytes, size_t* pos, T* out) {
   if (*pos + sizeof(T) > bytes.size()) return false;
@@ -43,31 +35,10 @@ bool ReadPod(const std::string& bytes, size_t* pos, T* out) {
 }  // namespace
 
 std::string Tuple::Serialize() const {
-  std::string out;
-  AppendPod<uint32_t>(&out, static_cast<uint32_t>(values_.size()));
-  for (const Value& v : values_) {
-    AppendPod<uint8_t>(&out, static_cast<uint8_t>(v.type()));
-    switch (v.type()) {
-      case TypeId::kNull:
-        break;
-      case TypeId::kInt64:
-        AppendPod<int64_t>(&out, v.AsInt64());
-        break;
-      case TypeId::kDouble:
-        AppendPod<double>(&out, v.AsDouble());
-        break;
-      case TypeId::kBool:
-        AppendPod<uint8_t>(&out, v.AsBool() ? 1 : 0);
-        break;
-      case TypeId::kString: {
-        const std::string& s = v.AsString();
-        AppendPod<uint32_t>(&out, static_cast<uint32_t>(s.size()));
-        AppendRaw(&out, s.data(), s.size());
-        break;
-      }
-    }
-  }
-  return out;
+  KeyEncoder encoder;
+  encoder.Begin(values_.size());
+  for (const Value& v : values_) encoder.Add(v);
+  return encoder.Take();
 }
 
 common::Result<Tuple> Tuple::Deserialize(const std::string& bytes) {
@@ -135,7 +106,10 @@ std::string Tuple::ToString() const {
   std::vector<std::string> parts;
   parts.reserve(values_.size());
   for (const Value& v : values_) parts.push_back(v.ToString());
-  return "(" + common::Join(parts, ", ") + ")";
+  std::string out = "(";
+  out += common::Join(parts, ", ");
+  out += ')';
+  return out;
 }
 
 bool Tuple::operator==(const Tuple& other) const {

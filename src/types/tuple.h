@@ -32,7 +32,8 @@ class Tuple {
   static Tuple Concat(Tuple&& left, const Tuple& right);
 
   /// Serializes to a self-describing byte string (type tags + payloads),
-  /// independent of any schema. Used by the storage layer.
+  /// independent of any schema, through KeyEncoder. Used by the storage
+  /// layer and the wire protocol.
   std::string Serialize() const;
 
   /// Parses a byte string produced by Serialize().

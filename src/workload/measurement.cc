@@ -64,8 +64,10 @@ std::string Measurement::ToJson() const {
   for (const std::string& name : names) {
     if (!first) out += ", ";
     first = false;
-    out += "\"" + JsonEscape(name) +
-           "\": " + std::to_string(invocations.at(name));
+    out += '"';
+    out += JsonEscape(name);
+    out += "\": ";
+    out += std::to_string(invocations.at(name));
   }
   out += "}";
   out += ", \"plan\": \"" + JsonEscape(plan_text) + "\"";

@@ -26,7 +26,7 @@ plan::QuerySpec RandomQuery(const BenchmarkConfig& config,
     const size_t pick = rng->NextUint64(pool.size());
     const int k = pool[pick];
     pool.erase(pool.begin() + static_cast<long>(pick));
-    const std::string name = "t" + std::to_string(k);
+    const std::string name = BenchmarkTableName(k);
     spec.tables.push_back({name, name});
   }
 

@@ -20,10 +20,16 @@ int64_t CoprimeStep(int64_t n) {
 
 }  // namespace
 
+std::string BenchmarkTableName(int k) {
+  std::string name = "t";
+  name += std::to_string(k);
+  return name;
+}
+
 common::Status LoadBenchmarkDatabase(Database* db,
                                      const BenchmarkConfig& config) {
   for (const int k : config.table_numbers) {
-    const std::string name = "t" + std::to_string(k);
+    const std::string name = BenchmarkTableName(k);
     const int64_t n = static_cast<int64_t>(k) * config.scale;
 
     std::vector<catalog::ColumnDef> columns = {

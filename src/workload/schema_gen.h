@@ -2,6 +2,7 @@
 #define PPP_WORKLOAD_SCHEMA_GEN_H_
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/status.h"
@@ -36,6 +37,9 @@ struct BenchmarkConfig {
   std::vector<int> table_numbers = {1, 3, 6, 7, 9, 10};
   uint64_t seed = 42;
 };
+
+/// The name of benchmark table number `k`: "tK".
+std::string BenchmarkTableName(int k);
 
 /// Creates, loads, indexes and analyzes the benchmark tables.
 common::Status LoadBenchmarkDatabase(Database* db,

@@ -36,10 +36,14 @@ class AggregateTest : public ::testing::Test {
         "n", {{"grp", TypeId::kInt64}, {"val", TypeId::kInt64}});
     EXPECT_TRUE(nullable.ok());
     for (int64_t i = 0; i < 10; ++i) {
-      EXPECT_TRUE((*nullable)
-                      ->Insert(Tuple({Value(i % 2),
-                                      i < 4 ? Value() : Value(i)}))
-                      .ok());
+      std::vector<Value> values;
+      values.emplace_back(i % 2);
+      if (i < 4) {
+        values.emplace_back();
+      } else {
+        values.emplace_back(i);
+      }
+      EXPECT_TRUE((*nullable)->Insert(Tuple(std::move(values))).ok());
     }
     EXPECT_TRUE((*nullable)->Analyze().ok());
   }

@@ -190,6 +190,42 @@ TEST_F(ExecTest, NestLoopRescansChargeIo) {
   // pool (64 pages) holds s (~8 pages), so rescans mostly hit; at minimum
   // buffer hits must reflect the rescan traffic.
   EXPECT_GT(stats.io.buffer_hits + stats.io.TotalReads(), 200u * 5u);
+
+  // On a pool that cannot hold the inner, every rescan re-reads every
+  // inner page: the paper's j{R}|S| term, charged once per page however
+  // the inner is pulled.
+  storage::DiskManager disk;
+  storage::BufferPool small_pool(&disk, 3);
+  catalog::Catalog catalog(&small_pool);
+  auto make = [&](const std::string& name, int64_t rows) {
+    auto table = catalog.CreateTable(
+        name, {{"key", TypeId::kInt64}, {"grp", TypeId::kInt64}});
+    EXPECT_TRUE(table.ok());
+    for (int64_t i = 0; i < rows; ++i) {
+      EXPECT_TRUE((*table)->Insert(Tuple({Value(i), Value(i % 7)})).ok());
+    }
+    return *table;
+  };
+  const catalog::Table* outer_table = make("r", 30);
+  const catalog::Table* inner_table = make("s", 600);
+  const size_t inner_pages = inner_table->heap().NumPages();
+  ASSERT_GT(inner_pages, small_pool.capacity());
+  ExecContext ctx;
+  ctx.catalog = &catalog;
+  ctx.binding = {{"r", outer_table}, {"s", inner_table}};
+  expr::PredicateAnalyzer analyzer(&catalog, ctx.binding);
+  auto small_pred = analyzer.Analyze(Eq(Col("r", "grp"), Col("s", "grp")));
+  ASSERT_TRUE(small_pred.ok());
+  plan::PlanPtr small_plan = TwoTableJoin(plan::JoinMethod::kNestLoop,
+                                          *small_pred);
+  small_pool.FlushAll();
+  small_pool.EvictAll();
+  std::unique_ptr<Operator> root;
+  auto rows = ExecutePlan(*small_plan, &ctx, nullptr, nullptr, &root);
+  ASSERT_TRUE(rows.ok()) << rows.status();
+  EXPECT_FALSE(rows->empty());
+  const storage::IoStats& inner_io = root->Children()[1]->stats().io;
+  EXPECT_EQ(inner_io.TotalReads(), 30u * inner_pages);
 }
 
 TEST_F(ExecTest, IndexNestLoopProbesPerOuterTuple) {

@@ -88,7 +88,9 @@ TEST(SpanTracerTest, BufferCapCountsDroppedSpans) {
   TracerGuard guard;
   obs::SpanTracer::Global().set_max_events(2);
   for (int i = 0; i < 5; ++i) {
-    obs::Span span("test", "s" + std::to_string(i));
+    std::string name = "s";
+    name += std::to_string(i);
+    obs::Span span("test", name);
   }
   EXPECT_EQ(obs::SpanTracer::Global().size(), 2u);
   EXPECT_EQ(obs::SpanTracer::Global().dropped(), 3u);

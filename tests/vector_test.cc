@@ -2,23 +2,28 @@
 // semantics, the vectorized comparison kernels pinned against the scalar
 // evaluator (including NULL and NaN behaviour), the FilterOp cheap-prefix
 // split's exact UDF invocation-counter parity, Bloom-transfer hash
-// equivalence on the columnar probe path, and the Q1-Q5 end-to-end parity
-// suite across vectorized {on,off} x workers {1,4} x transfer {on,off}.
+// equivalence on the columnar probe path, the predicate-cache key encoder,
+// nested-loop joins over inner column batches, and the Q1-Q5 end-to-end
+// parity suite across vectorized {on,off} x workers {1,4} x transfer
+// {on,off}.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <map>
 #include <memory>
 #include <numeric>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "catalog/function_registry.h"
 #include "exec/executor.h"
 #include "exec/filter_op.h"
+#include "exec/shared_caches.h"
 #include "exec/vector_filter.h"
 #include "expr/evaluator.h"
 #include "expr/predicate.h"
@@ -27,6 +32,7 @@
 #include "storage/buffer_pool.h"
 #include "storage/disk_manager.h"
 #include "types/column_batch.h"
+#include "types/key_encoder.h"
 #include "workload/database.h"
 #include "workload/measurement.h"
 #include "workload/queries.h"
@@ -49,6 +55,7 @@ using expr::ExprPtr;
 using expr::Int;
 using types::ColumnBatch;
 using types::ColumnInfo;
+using types::KeyEncoder;
 using types::RowSchema;
 using types::Tuple;
 using types::TypeId;
@@ -368,9 +375,11 @@ class VectorExecTest : public ::testing::Test {
     EXPECT_TRUE(table.ok());
     for (int64_t i = 0; i < 300; ++i) {
       Value a = (i % 13 == 0) ? Value() : Value(i % 10);
+      std::string pad = "p";
+      pad += std::to_string(i);
       EXPECT_TRUE((*table)
                       ->Insert(Tuple({Value(i), std::move(a), Value(i * 0.5),
-                                      Value("p" + std::to_string(i))}))
+                                      Value(std::move(pad))}))
                       .ok());
     }
     EXPECT_TRUE((*table)->Analyze().ok());
@@ -682,7 +691,7 @@ class VectorParityTest : public ::testing::Test {
 };
 
 TEST_F(VectorParityTest, QueriesMatchAcrossVectorWorkersTransfer) {
-  for (const std::string& id : {"Q1", "Q2", "Q3", "Q4", "Q5"}) {
+  for (const std::string id : {"Q1", "Q2", "Q3", "Q4", "Q5"}) {
     auto spec = workload::GetBenchmarkQuery(db_, config_, id);
     ASSERT_TRUE(spec.ok()) << spec.status();
     for (bool transfer : {false, true}) {
@@ -705,6 +714,283 @@ TEST_F(VectorParityTest, QueriesMatchAcrossVectorWorkersTransfer) {
       }
     }
   }
+}
+
+// ---------------------------------------------------------------------------
+// Predicate-cache key encoder.
+// ---------------------------------------------------------------------------
+
+/// The §5.1 cache key is the storage wire format of the predicate's input
+/// values. Cells encoded straight from a ColumnBatch (the nested-loop join
+/// path) must give the bytes Tuple::Serialize gives for the same values
+/// (the Filter path), for every type, NULL, and boxed columns.
+TEST(KeyEncoderTest, CellsAndValuesEncodeLikeSerialize) {
+  RowSchema schema({ColumnInfo{"t", "a", TypeId::kInt64},
+                    ColumnInfo{"t", "x", TypeId::kDouble},
+                    ColumnInfo{"t", "b", TypeId::kBool},
+                    ColumnInfo{"t", "s", TypeId::kString},
+                    ColumnInfo{"t", "m", TypeId::kInt64}});
+  // Column m is declared INT64 but holds a double and a string, so it
+  // boxes in both batches below.
+  const Value mixed[] = {Value(2.5), Value(int64_t{9}), Value(),
+                         Value("boxed")};
+  std::vector<Tuple> rows;
+  const std::vector<Tuple> base = MixedRows();
+  for (size_t i = 0; i < base.size(); ++i) {
+    std::vector<Value> values = base[i].values();
+    values.push_back(mixed[i]);
+    rows.emplace_back(std::move(values));
+  }
+  ColumnBatch from_bytes(schema);
+  ColumnBatch from_tuples(schema);
+  for (const Tuple& row : rows) {
+    ASSERT_TRUE(from_bytes.AppendSerialized(row.Serialize()).ok());
+    from_tuples.AppendTuple(row);
+  }
+  ASSERT_TRUE(from_bytes.column(4).boxed);
+  ASSERT_FALSE(from_bytes.column(3).boxed);
+
+  KeyEncoder encoder;
+  for (size_t r = 0; r < rows.size(); ++r) {
+    SCOPED_TRACE("row " + std::to_string(r));
+    const std::string expected = rows[r].Serialize();
+    for (const ColumnBatch* batch : {&from_bytes, &from_tuples}) {
+      encoder.Begin(schema.NumColumns());
+      for (size_t c = 0; c < schema.NumColumns(); ++c) {
+        encoder.AddCell(*batch, c, r);
+      }
+      EXPECT_EQ(encoder.bytes(), expected);
+    }
+    encoder.Begin(rows[r].NumValues());
+    for (const Value& v : rows[r].values()) encoder.Add(v);
+    EXPECT_EQ(encoder.bytes(), expected);
+    auto decoded = Tuple::Deserialize(encoder.bytes());
+    ASSERT_TRUE(decoded.ok());
+    EXPECT_EQ(decoded->Serialize(), expected);
+
+    // A key projection (columns in predicate order, not schema order).
+    encoder.Begin(2);
+    encoder.AddCell(from_bytes, 3, r);
+    encoder.AddCell(from_bytes, 0, r);
+    EXPECT_EQ(encoder.bytes(),
+              Tuple({rows[r].Get(3), rows[r].Get(0)}).Serialize());
+  }
+
+  // The format itself: a uint32 count, then per value a type tag and its
+  // payload.
+  encoder.Begin(2);
+  encoder.Add(Value(int64_t{5}));
+  encoder.Add(Value());
+  std::string pinned;
+  const uint32_t count = 2;
+  const int64_t five = 5;
+  pinned.append(reinterpret_cast<const char*>(&count), sizeof(count));
+  pinned.push_back(static_cast<char>(TypeId::kInt64));
+  pinned.append(reinterpret_cast<const char*>(&five), sizeof(five));
+  pinned.push_back(static_cast<char>(TypeId::kNull));
+  EXPECT_EQ(encoder.bytes(), pinned);
+}
+
+// ---------------------------------------------------------------------------
+// Nested-loop join over inner column batches.
+// ---------------------------------------------------------------------------
+
+/// o (outer, 9 rows) joins i (inner, 40 rows) on `pairfn`, an expensive
+/// cacheable predicate whose inputs cover NULL, int64, string and double
+/// columns and a boxed one: i.ib is declared INT64 but every fifth row
+/// stores a string. Small domains make bindings repeat, so the cache hits.
+class NestLoopParityTest : public ::testing::Test {
+ protected:
+  enum class Inner { kScan, kFilter, kRowOnly };
+  enum class Caching { kOff, kPrivate, kShared };
+
+  NestLoopParityTest() : pool_(&disk_, 64), catalog_(&pool_) {
+    auto outer = catalog_.CreateTable("o", {{"ok", TypeId::kInt64},
+                                            {"on", TypeId::kInt64},
+                                            {"os", TypeId::kString}});
+    EXPECT_TRUE(outer.ok());
+    for (int64_t k = 0; k < 9; ++k) {
+      outer_rows_.push_back(
+          Tuple({Value(k), k % 4 == 0 ? Value() : Value(k % 3),
+                 Value(k % 2 == 0 ? "even" : "odd")}));
+      EXPECT_TRUE((*outer)->Insert(outer_rows_.back()).ok());
+    }
+    auto inner = catalog_.CreateTable("i", {{"ik", TypeId::kInt64},
+                                            {"in", TypeId::kInt64},
+                                            {"is", TypeId::kString},
+                                            {"ix", TypeId::kDouble},
+                                            {"ib", TypeId::kInt64}});
+    EXPECT_TRUE(inner.ok());
+    for (int64_t k = 0; k < 40; ++k) {
+      inner_rows_.push_back(Tuple(
+          {Value(k), k % 6 == 0 ? Value() : Value(k % 4),
+           Value(std::string(static_cast<size_t>(k % 3), 'z')),
+           k % 7 == 0 ? Value() : Value(0.5 * static_cast<double>(k % 2)),
+           k % 5 == 0 ? Value(k % 2 == 0 ? "s0" : "s1") : Value(k % 3)}));
+      EXPECT_TRUE((*inner)->Insert(inner_rows_.back()).ok());
+    }
+    EXPECT_TRUE(
+        catalog_.functions().RegisterCostlyPredicate("pairfn", 100, 0.3)
+            .ok());
+    binding_ = {{"o", *outer}, {"i", *inner}};
+    analyzer_ = std::make_unique<expr::PredicateAnalyzer>(&catalog_, binding_);
+  }
+
+  expr::PredicateInfo Analyze(const ExprPtr& e) {
+    auto info = analyzer_->Analyze(e);
+    EXPECT_TRUE(info.ok()) << info.status();
+    return *info;
+  }
+
+  static ExprPtr PairPredicate() {
+    return Call("pairfn", {Col("o", "on"), Col("o", "os"), Col("i", "in"),
+                           Col("i", "is"), Col("i", "ix"), Col("i", "ib")});
+  }
+
+  /// Inner rows the inner plan of `kind` yields, in order.
+  std::vector<Tuple> InnerRows(Inner kind) const {
+    std::vector<Tuple> out;
+    for (const Tuple& row : inner_rows_) {
+      if (kind != Inner::kFilter || row.Get(0).AsInt64() < 31) {
+        out.push_back(row);
+      }
+    }
+    return out;
+  }
+
+  plan::PlanPtr InnerPlan(Inner kind) {
+    switch (kind) {
+      case Inner::kScan:
+        return plan::MakeSeqScan("i", "i");
+      case Inner::kFilter:
+        return plan::MakeFilter(
+            plan::MakeSeqScan("i", "i"),
+            Analyze(Cmp(CompareOp::kLt, Col("i", "ik"), Int(31))));
+      case Inner::kRowOnly:
+        // Sort has no columnar fill: the join pulls it through the
+        // default row-to-column adapter.
+        return plan::MakeSort(plan::MakeSeqScan("i", "i"), "i.ik");
+    }
+    return nullptr;
+  }
+
+  /// Serialized rows in output order.
+  std::vector<std::string> Run(const plan::PlanNode& plan,
+                               const ExecParams& params,
+                               exec::SharedPredicateCacheRegistry* shared,
+                               ExecStats* stats,
+                               std::unique_ptr<exec::Operator>* root =
+                                   nullptr) {
+    exec::ExecContext ctx;
+    ctx.catalog = &catalog_;
+    ctx.binding = binding_;
+    ctx.params = params;
+    ctx.shared_caches = shared;
+    auto rows = exec::ExecutePlan(plan, &ctx, stats, nullptr, root);
+    EXPECT_TRUE(rows.ok()) << rows.status();
+    std::vector<std::string> out;
+    if (rows.ok()) {
+      for (const Tuple& t : *rows) out.push_back(t.Serialize());
+    }
+    return out;
+  }
+
+  storage::DiskManager disk_;
+  storage::BufferPool pool_;
+  catalog::Catalog catalog_;
+  expr::TableBinding binding_;
+  std::unique_ptr<expr::PredicateAnalyzer> analyzer_;
+  std::vector<Tuple> outer_rows_;
+  std::vector<Tuple> inner_rows_;
+};
+
+TEST_F(NestLoopParityTest, RowsAndInvocationsMatchAcrossCachingVectorInner) {
+  auto def = catalog_.functions().Lookup("pairfn");
+  ASSERT_TRUE(def.ok());
+  const expr::PredicateInfo primary = Analyze(PairPredicate());
+  for (const Inner kind : {Inner::kScan, Inner::kFilter, Inner::kRowOnly}) {
+    // Oracle: outer order x inner order, pairfn called directly.
+    std::vector<std::string> expected_rows;
+    std::set<std::string> distinct_keys;
+    uint64_t pairs = 0;
+    for (const Tuple& o : outer_rows_) {
+      for (const Tuple& i : InnerRows(kind)) {
+        const std::vector<Value> args = {o.Get(1), o.Get(2), i.Get(1),
+                                         i.Get(2), i.Get(3), i.Get(4)};
+        ++pairs;
+        distinct_keys.insert(Tuple(args).Serialize());
+        const Value verdict = (*def)->impl(args);
+        if (!verdict.is_null() && verdict.AsBool()) {
+          expected_rows.push_back(Tuple::Concat(o, i).Serialize());
+        }
+      }
+    }
+    ASSERT_FALSE(expected_rows.empty());
+    ASSERT_LT(distinct_keys.size(), pairs);
+
+    for (const Caching caching :
+         {Caching::kOff, Caching::kPrivate, Caching::kShared}) {
+      for (const bool vectorized : {false, true}) {
+        for (const size_t batch_size : {size_t{1024}, size_t{7}}) {
+          SCOPED_TRACE("inner=" + std::to_string(static_cast<int>(kind)) +
+                       " caching=" + std::to_string(static_cast<int>(caching)) +
+                       " vectorized=" + std::to_string(vectorized) +
+                       " batch=" + std::to_string(batch_size));
+          ExecParams params;
+          params.predicate_caching = caching != Caching::kOff;
+          params.vectorized = vectorized;
+          params.batch_size = batch_size;
+          exec::SharedPredicateCacheRegistry registry;
+          plan::PlanPtr plan =
+              plan::MakeJoin(plan::JoinMethod::kNestLoop,
+                             plan::MakeSeqScan("o", "o"), InnerPlan(kind),
+                             primary);
+          ExecStats stats;
+          const std::vector<std::string> rows =
+              Run(*plan, params,
+                  caching == Caching::kShared ? &registry : nullptr, &stats);
+          EXPECT_EQ(rows, expected_rows);
+          ASSERT_TRUE(stats.invocations.count("pairfn"));
+          EXPECT_EQ(stats.invocations.at("pairfn"),
+                    caching == Caching::kOff ? pairs : distinct_keys.size());
+        }
+      }
+    }
+  }
+}
+
+/// A Filter over the cross product keys its cache from Tuples; the join
+/// keys the same predicate's cache from inner column cells. On a shared
+/// registry the second plan must find every binding the first computed.
+TEST_F(NestLoopParityTest, FilterAndJoinShareCacheKeys) {
+  const expr::PredicateInfo pred = Analyze(PairPredicate());
+  exec::SharedPredicateCacheRegistry registry;
+  ExecParams params;
+
+  plan::PlanPtr filter_plan = plan::MakeFilter(
+      plan::MakeJoin(plan::JoinMethod::kNestLoop, plan::MakeSeqScan("o", "o"),
+                     plan::MakeSeqScan("i", "i"), expr::PredicateInfo{}),
+      pred);
+  ExecStats filter_stats;
+  const std::vector<std::string> filter_rows =
+      Run(*filter_plan, params, &registry, &filter_stats);
+  ASSERT_TRUE(filter_stats.invocations.count("pairfn"));
+  EXPECT_GT(filter_stats.invocations.at("pairfn"), 0u);
+
+  plan::PlanPtr join_plan = plan::MakeJoin(
+      plan::JoinMethod::kNestLoop, plan::MakeSeqScan("o", "o"),
+      plan::MakeSeqScan("i", "i"), pred);
+  ExecStats join_stats;
+  std::unique_ptr<exec::Operator> root;
+  const std::vector<std::string> join_rows =
+      Run(*join_plan, params, &registry, &join_stats, &root);
+  EXPECT_EQ(join_rows, filter_rows);
+  const auto calls = join_stats.invocations.find("pairfn");
+  EXPECT_TRUE(calls == join_stats.invocations.end() || calls->second == 0);
+  ASSERT_NE(root, nullptr);
+  const exec::OperatorStats& join_op = root->stats();
+  EXPECT_TRUE(join_op.cache_enabled);
+  EXPECT_EQ(join_op.cache_hits, outer_rows_.size() * inner_rows_.size());
 }
 
 }  // namespace

@@ -24,7 +24,7 @@ class WorkloadTest : public ::testing::Test {
 
 TEST_F(WorkloadTest, TablesHaveScaledCardinalities) {
   for (const int k : config_.table_numbers) {
-    auto table = db_.catalog().GetTable("t" + std::to_string(k));
+    auto table = db_.catalog().GetTable(BenchmarkTableName(k));
     ASSERT_TRUE(table.ok());
     EXPECT_EQ((*table)->NumTuples(), k * config_.scale);
   }
