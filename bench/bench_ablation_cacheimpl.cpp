@@ -50,6 +50,7 @@ int main() {
     variants.push_back(v);
   }
 
+  std::vector<workload::Measurement> bars;
   for (const char* id : {"Q1", "Q3"}) {
     std::printf("\n%s (PredicateMigration plans):\n", id);
     std::printf("%-26s %14s %s\n", "cache variant", "measured",
@@ -69,8 +70,11 @@ int main() {
       }
       std::printf("%-26s %14.6g %s\n", variant.name, m->charged_time,
                   invs.c_str());
+      m->algorithm = std::string(id) + "/" + variant.name;
+      bars.push_back(std::move(*m));
     }
   }
+  bench::MaybeWriteBenchJson("ablation_cacheimpl", bars);
   std::printf(
       "\nReading: on Q1 the costly inputs are unique, so every cache\n"
       "variant invokes identically and the adaptive variant additionally\n"

@@ -39,7 +39,9 @@
 # The five paper-figure benches that write BENCH_*.json (Figs. 3, 4, 5, 8
 # and 9) run at PPP_SCALE=40 so the regression gate compares their charged
 # time, charged I/O, charged UDF cost and invocations against the
-# baselines exactly.
+# baselines exactly. The two cache benches (bench_parallel_predicates,
+# bench_ablation_cacheimpl) follow at the same scale and are gated the
+# same way.
 #
 # A Release pass (-DCMAKE_BUILD_TYPE=Release, into build-release/)
 # rebuilds and reruns the suite at -O3, with src/obs/ still -Werror; the
@@ -47,7 +49,8 @@
 #
 # An ASan+UBSan pass (-DPPP_SANITIZE=address,undefined, into build-asan/)
 # reruns the suite and the Fig. 9 bench, whose nested-loop joins read
-# string views into ColumnBatch arenas. UBSan findings abort the run.
+# string views into ColumnBatch arenas and probe the flat §5.1 memo with
+# inline and heap keys. UBSan findings abort the run.
 # Skip it with SKIP_ASAN=1 when iterating.
 #
 # A further pass rebuilds under ThreadSanitizer (-DPPP_SANITIZE=thread) and
@@ -371,6 +374,23 @@ for fig in fig3_query1 fig4_query2 fig5_query3 fig8_query4 fig9_query5; do
   PPP_SCALE=40 PPP_BENCH_JSON=1 "$BUILD_DIR/bench/bench_${fig}" >/dev/null
   [[ -s "BENCH_${fig}.json" ]] || {
     echo "missing BENCH_${fig}.json" >&2; exit 1;
+  }
+done
+
+# Cache benches: bench_parallel_predicates sweeps 1-8 workers over the
+# sharded §5.1 memo (its exit code asserts the >= 2x speedup at 4 workers
+# and identical results and invocations at every worker count), and
+# bench_ablation_cacheimpl runs the §5.1 cache variants on Q1 and Q3. Both
+# are gated against bench/baselines/ below, invocations and charged cost
+# exactly.
+rm -f BENCH_parallel.json BENCH_ablation_cacheimpl.json
+PPP_SCALE=40 PPP_BENCH_JSON=1 "$BUILD_DIR/bench/bench_parallel_predicates" \
+  >/dev/null
+PPP_SCALE=40 PPP_BENCH_JSON=1 "$BUILD_DIR/bench/bench_ablation_cacheimpl" \
+  >/dev/null
+for name in parallel ablation_cacheimpl; do
+  [[ -s "BENCH_${name}.json" ]] || {
+    echo "missing BENCH_${name}.json" >&2; exit 1;
   }
 done
 

@@ -4,12 +4,12 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <cstring>
 #include <functional>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
+#include <string_view>
 #include <vector>
 
 namespace ppp::common {
@@ -22,18 +22,25 @@ namespace ppp::common {
 /// Exactness is the design constraint — invocation counts are the paper's
 /// measurement currency, so a memoized computation must run **at most once
 /// per distinct key** no matter how many workers probe concurrently. A
-/// miss installs a *pending* entry before computing; concurrent probes for
-/// the same key find the pending entry, count a hit (the serial execution
-/// would have hit the completed entry), and wait on the shard's condition
-/// variable instead of recomputing. With one worker this degrades to
-/// exactly the serial probe/compute/insert sequence.
+/// miss registers the key in its shard's *pending* list before computing;
+/// concurrent probes for the same key find it there, count a hit (the
+/// serial execution would have hit the completed entry), and wait on the
+/// shard's condition variable instead of recomputing. The computing thread
+/// publishes the value into the shard's table, so a pending key is never
+/// evicted. With one worker this degrades to exactly the serial
+/// probe/compute/insert sequence.
+///
+/// Each shard's table is flat: a dense entry array (hash, key bytes inline
+/// up to kInlineKey, value, eviction-order links) indexed by an
+/// open-addressed array of 8-byte slots. A probe hashes the key once and,
+/// on a hit, reads one index slot and one entry.
 ///
 /// Replacement is FIFO per shard by default (the paper: "function or
 /// predicate caches can be limited in size, using any of a variety of
 /// replacement schemes"); `lru` recency-orders entries instead, so hot
 /// bindings survive a bound. Bounds come in two flavours that compose:
 /// `max_entries` (count) and `max_bytes` (approximate memory — key bytes
-/// plus a fixed per-entry overhead). The adaptive self-disable ("planned
+/// plus a fixed per-entry charge). The adaptive self-disable ("planned
 /// for Montage but not implemented", §5.1) is detected online: zero hits
 /// in the first `probe_window` probes disables the memo and frees its
 /// entries. All follow the serial semantics exactly when single-threaded;
@@ -57,8 +64,9 @@ class ShardedMemo {
     uint64_t probe_window = 512;
   };
 
-  /// Fixed per-entry charge against max_bytes, approximating the Entry,
-  /// the hash-map node, and the eviction-list node.
+  /// Fixed per-entry charge against max_bytes. An accounting constant, kept
+  /// so byte bounds evict at the same points they always have; it is not
+  /// the real footprint of an entry in the flat table.
   static constexpr size_t kEntryOverhead = 64;
 
   /// Event callbacks, fired outside any per-key wait but possibly under a
@@ -110,25 +118,25 @@ class ShardedMemo {
   /// per distinct key. `compute` executes without any shard lock held, and
   /// `key` is not read once it starts (callers may reuse its buffer there).
   template <typename Compute>
-  V GetOrCompute(const std::string& key, const Compute& compute) {
+  V GetOrCompute(std::string_view key, const Compute& compute) {
     const uint64_t probe =
         probes_.fetch_add(1, std::memory_order_relaxed) + 1;
-    Shard& shard = shards_[ShardOf(key)];
+    const uint64_t hash = std::hash<std::string_view>{}(key);
+    Shard& shard = shards_[ShardOf(hash)];
     std::unique_lock<std::mutex> lock = LockShard(&shard);
-    auto it = shard.map.find(key);
-    if (it != shard.map.end()) {
-      std::shared_ptr<Entry> entry = it->second;
-      hits_.fetch_add(1, std::memory_order_relaxed);
-      if (listener_.on_hit) listener_.on_hit();
-      if (options_.lru && entry->in_order) {
-        // Recency-order: a hit moves the entry to the back of the queue.
-        shard.order.splice(shard.order.end(), shard.order, entry->order_it);
-      }
-      // Pending entry: another worker is computing this key right now.
-      // Waiting (instead of recomputing) is what keeps invocation counts
-      // exact under parallelism.
-      while (!entry->ready) shard.cv.wait(lock);
-      return entry->value;
+    const uint32_t id = shard.table.Find(hash, key);
+    if (id != kNone) {
+      CountHit();
+      if (options_.lru) shard.table.MoveToBack(id);
+      return shard.table.value(id);
+    }
+    if (std::shared_ptr<Pending> pending = shard.FindPending(hash, key)) {
+      // Another worker is computing this key right now. Waiting (instead
+      // of recomputing) is what keeps invocation counts exact under
+      // parallelism.
+      CountHit();
+      shard.cv.wait(lock, [&] { return pending->ready; });
+      return pending->value;
     }
 
     if (listener_.on_miss) listener_.on_miss();
@@ -145,49 +153,31 @@ class ShardedMemo {
       return compute();
     }
 
-    // Evict from the front (FIFO order, or least-recent under lru) until
-    // both bounds admit the new entry. The victim may itself be pending;
-    // evicting it is safe (waiters and the computing worker hold the entry
-    // via shared_ptr) but a concurrent re-probe of that key recomputes —
-    // bounded caches trade exactness for memory, exactly like the serial
-    // FIFO thrash.
-    const size_t new_bytes = key.size() + kEntryOverhead;
-    while (!shard.order.empty() &&
-           ((shard_max_ > 0 && shard.map.size() >= shard_max_) ||
-            (shard_max_bytes_ > 0 &&
-             shard.bytes + new_bytes > shard_max_bytes_))) {
-      const std::string& victim = shard.order.front();
-      shard.bytes -= victim.size() + kEntryOverhead;
-      shard.map.erase(victim);
-      shard.order.pop_front();
-      evictions_.fetch_add(1, std::memory_order_relaxed);
-      if (listener_.on_eviction) listener_.on_eviction();
-    }
-    auto entry = std::make_shared<Entry>();
-    shard.map.emplace(key, entry);
-    shard.order.push_back(key);
-    entry->order_it = std::prev(shard.order.end());
-    entry->in_order = true;
-    shard.bytes += new_bytes;
+    auto pending = std::make_shared<Pending>();
+    pending->hash = hash;
+    pending->key.assign(key);
+    shard.pending.push_back(pending);
     lock.unlock();
 
     V value = compute();
 
     lock.lock();
-    entry->value = std::move(value);
-    entry->ready = true;
+    shard.ErasePending(pending.get());
+    // A memo disabled meanwhile has freed its table; keep it empty.
+    if (!disabled()) Publish(&shard, hash, pending->key, value);
+    pending->value = value;
+    pending->ready = true;
     shard.cv.notify_all();
-    return entry->value;
+    return value;
   }
 
-  /// Drops every entry (waiters on pending entries are unaffected: they
-  /// hold the entry itself, and the computing worker still publishes).
+  /// Drops every published entry. Computations in flight are unaffected:
+  /// their waiters hold the pending record, and the computing worker still
+  /// hands them the value.
   void Clear() {
     for (Shard& shard : shards_) {
       std::lock_guard<std::mutex> lock(shard.mu);
-      shard.map.clear();
-      shard.order.clear();
-      shard.bytes = 0;
+      shard.table.Clear();
     }
   }
 
@@ -195,7 +185,7 @@ class ShardedMemo {
     size_t total = 0;
     for (const Shard& shard : shards_) {
       std::lock_guard<std::mutex> lock(shard.mu);
-      total += shard.map.size();
+      total += shard.table.size();
     }
     return total;
   }
@@ -205,7 +195,7 @@ class ShardedMemo {
     size_t total = 0;
     for (const Shard& shard : shards_) {
       std::lock_guard<std::mutex> lock(shard.mu);
-      total += shard.bytes;
+      total += shard.table.charged_bytes();
     }
     return total;
   }
@@ -222,31 +212,247 @@ class ShardedMemo {
   }
 
  private:
-  struct Entry {
+  static constexpr uint32_t kNone = UINT32_MAX;
+  /// Keys up to this many bytes are stored inside the entry; longer keys
+  /// get a heap block of their own.
+  static constexpr size_t kInlineKey = 24;
+
+  /// One shard's published entries: a dense entry array threaded by the
+  /// eviction order (head = next victim), with removed entries on a free
+  /// list, plus an open-addressed index over it. Index slots hold the low
+  /// 32 hash bits (which also give the home slot, so the index grows and
+  /// deletes without touching entries) and entry id + 1; 0 is empty.
+  /// Linear probing, load factor at most 1/2, backward-shift deletion.
+  class Table {
+   public:
+    size_t size() const { return size_; }
+    /// Bytes charged against max_bytes: key bytes plus kEntryOverhead each.
+    size_t charged_bytes() const {
+      return key_bytes_ + size_ * kEntryOverhead;
+    }
+    const V& value(uint32_t id) const { return entries_[id].value; }
+
+    uint32_t Find(uint64_t hash, std::string_view key) const {
+      if (slots_.empty()) return kNone;
+      const uint64_t tag = hash & 0xffffffffu;
+      for (size_t i = tag & mask_;; i = (i + 1) & mask_) {
+        const uint64_t slot = slots_[i];
+        if (slot == 0) return kNone;
+        if ((slot >> 32) != tag) continue;
+        const uint32_t id = static_cast<uint32_t>(slot) - 1;
+        const Entry& entry = entries_[id];
+        if (entry.hash == hash && entry.key() == key) return id;
+      }
+    }
+
+    /// Appends a new entry at the back of the eviction order. `key` must
+    /// not be present.
+    void PushBack(uint64_t hash, std::string_view key, const V& value) {
+      if ((size_ + 1) * 2 > slots_.size()) Grow();
+      uint32_t id = free_;
+      if (id != kNone) {
+        free_ = entries_[id].next;
+      } else {
+        id = static_cast<uint32_t>(entries_.size());
+        entries_.emplace_back();
+      }
+      Entry& entry = entries_[id];
+      entry.hash = hash;
+      entry.SetKey(key);
+      entry.value = value;
+      LinkBack(id);
+      Place(((hash & 0xffffffffu) << 32) | (uint64_t{id} + 1));
+      ++size_;
+      key_bytes_ += key.size();
+    }
+
+    /// Removes the entry at the front of the eviction order; the table
+    /// must be non-empty.
+    void PopFront() {
+      const uint32_t id = head_;
+      Entry& entry = entries_[id];
+      EraseSlot(entry.hash, id);
+      Unlink(id);
+      --size_;
+      key_bytes_ -= entry.key_size;
+      entry.heap_key.reset();
+      entry.value = V{};
+      entry.next = free_;
+      free_ = id;
+    }
+
+    void MoveToBack(uint32_t id) {
+      if (id == tail_) return;
+      Unlink(id);
+      LinkBack(id);
+    }
+
+    /// Drops every entry and releases the memory.
+    void Clear() { *this = Table(); }
+
+   private:
+    // An entry of a small value type fills exactly one cache line.
+    struct alignas(V) alignas(sizeof(V) <= 8 ? 64 : 8) Entry {
+      uint64_t hash = 0;
+      uint32_t prev = kNone;
+      uint32_t next = kNone;  // Also the free-list link.
+      uint32_t key_size = 0;
+      char inline_key[kInlineKey] = {};
+      std::unique_ptr<char[]> heap_key;  // Keys longer than kInlineKey.
+      V value{};
+
+      std::string_view key() const {
+        return {key_size <= kInlineKey ? inline_key : heap_key.get(),
+                key_size};
+      }
+
+      void SetKey(std::string_view key) {
+        key_size = static_cast<uint32_t>(key.size());
+        char* dest = inline_key;
+        if (key.size() > kInlineKey) {
+          heap_key.reset(new char[key.size()]);
+          dest = heap_key.get();
+        }
+        std::memcpy(dest, key.data(), key.size());
+      }
+    };
+
+    void Grow() {
+      std::vector<uint64_t> old = std::move(slots_);
+      slots_.assign(old.empty() ? 16 : old.size() * 2, 0);
+      mask_ = slots_.size() - 1;
+      for (const uint64_t slot : old) {
+        if (slot != 0) Place(slot);
+      }
+    }
+
+    /// Stores `slot` in the first empty index position from its home.
+    void Place(uint64_t slot) {
+      size_t i = (slot >> 32) & mask_;
+      while (slots_[i] != 0) i = (i + 1) & mask_;
+      slots_[i] = slot;
+    }
+
+    /// Removes entry `id`'s index slot and shifts later slots of its probe
+    /// run back, so lookups never need tombstones.
+    void EraseSlot(uint64_t hash, uint32_t id) {
+      const uint64_t target = uint64_t{id} + 1;
+      size_t hole = hash & mask_;
+      while (static_cast<uint32_t>(slots_[hole]) != target) {
+        hole = (hole + 1) & mask_;
+      }
+      for (size_t i = (hole + 1) & mask_;; i = (i + 1) & mask_) {
+        const uint64_t slot = slots_[i];
+        if (slot == 0) break;
+        // The slot may move into the hole when the hole lies on its probe
+        // path, i.e. between its home and its current position.
+        const size_t home = (slot >> 32) & mask_;
+        if (((i - home) & mask_) >= ((i - hole) & mask_)) {
+          slots_[hole] = slot;
+          hole = i;
+        }
+      }
+      slots_[hole] = 0;
+    }
+
+    void LinkBack(uint32_t id) {
+      Entry& entry = entries_[id];
+      entry.prev = tail_;
+      entry.next = kNone;
+      if (tail_ != kNone) {
+        entries_[tail_].next = id;
+      } else {
+        head_ = id;
+      }
+      tail_ = id;
+    }
+
+    void Unlink(uint32_t id) {
+      Entry& entry = entries_[id];
+      if (entry.prev != kNone) {
+        entries_[entry.prev].next = entry.next;
+      } else {
+        head_ = entry.next;
+      }
+      if (entry.next != kNone) {
+        entries_[entry.next].prev = entry.prev;
+      } else {
+        tail_ = entry.prev;
+      }
+    }
+
+    std::vector<Entry> entries_;
+    std::vector<uint64_t> slots_;
+    size_t mask_ = 0;
+    uint32_t head_ = kNone;
+    uint32_t tail_ = kNone;
+    uint32_t free_ = kNone;
+    size_t size_ = 0;
+    size_t key_bytes_ = 0;
+  };
+
+  /// A computation in flight. Waiters hold it by shared_ptr, so it outlives
+  /// its removal from the shard's pending list.
+  struct Pending {
+    uint64_t hash = 0;
+    std::string key;
     V value{};
     bool ready = false;  // Guarded by the owning shard's mutex.
-    /// Position in the shard's eviction queue, valid while in_order (both
-    /// guarded by the shard's mutex; an evicted entry is unreachable via
-    /// the map, so its stale iterator is never dereferenced).
-    typename std::list<std::string>::iterator order_it;
-    bool in_order = false;
   };
 
   struct Shard {
     mutable std::mutex mu;
     std::condition_variable cv;
-    std::unordered_map<std::string, std::shared_ptr<Entry>> map;
-    /// Eviction queue, front = next victim (insertion order, refreshed on
-    /// hit under lru).
-    std::list<std::string> order;
-    /// Approximate bytes charged for the current entries.
-    size_t bytes = 0;
+    Table table;
+    /// Keys being computed, at most one per thread computing in this
+    /// shard, so a linear scan beats hashing them.
+    std::vector<std::shared_ptr<Pending>> pending;
+
+    std::shared_ptr<Pending> FindPending(uint64_t hash,
+                                         std::string_view key) const {
+      for (const std::shared_ptr<Pending>& p : pending) {
+        if (p->hash == hash && p->key == key) return p;
+      }
+      return nullptr;
+    }
+
+    void ErasePending(const Pending* done) {
+      for (std::shared_ptr<Pending>& p : pending) {
+        if (p.get() == done) {
+          p = std::move(pending.back());
+          pending.pop_back();
+          return;
+        }
+      }
+    }
   };
 
-  size_t ShardOf(const std::string& key) const {
-    return shards_.size() == 1
-               ? 0
-               : std::hash<std::string>{}(key) % shards_.size();
+  /// The shard comes from the high hash bits; the index slot uses the low
+  /// ones, so keys of one shard still spread over its whole index.
+  size_t ShardOf(uint64_t hash) const {
+    return static_cast<size_t>(((hash >> 32) * shards_.size()) >> 32);
+  }
+
+  void CountHit() {
+    hits_.fetch_add(1, std::memory_order_relaxed);
+    if (listener_.on_hit) listener_.on_hit();
+  }
+
+  /// Evicts from the front (FIFO order, or least-recent under lru) until
+  /// both bounds admit the new entry, then appends it.
+  void Publish(Shard* shard, uint64_t hash, std::string_view key,
+               const V& value) {
+    Table& table = shard->table;
+    const size_t charge = key.size() + kEntryOverhead;
+    while (table.size() > 0 &&
+           ((shard_max_ > 0 && table.size() >= shard_max_) ||
+            (shard_max_bytes_ > 0 &&
+             table.charged_bytes() + charge > shard_max_bytes_))) {
+      table.PopFront();
+      evictions_.fetch_add(1, std::memory_order_relaxed);
+      if (listener_.on_eviction) listener_.on_eviction();
+    }
+    table.PushBack(hash, key, value);
   }
 
   std::unique_lock<std::mutex> LockShard(Shard* shard) {
@@ -274,4 +480,3 @@ class ShardedMemo {
 }  // namespace ppp::common
 
 #endif  // PPP_COMMON_SHARDED_MEMO_H_
-

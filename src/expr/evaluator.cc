@@ -7,6 +7,7 @@
 #include "obs/metrics.h"
 #include "obs/profiler.h"
 #include "obs/span.h"
+#include "types/key_encoder.h"
 
 namespace ppp::expr {
 
@@ -45,6 +46,14 @@ void FunctionCache::Configure(const Options& options) {
   memo.adaptive = options.adaptive;
   memo.probe_window = options.probe_window;
   memo_.Reset(memo);
+}
+
+std::string_view FunctionCache::Key(std::string_view function,
+                                    const std::vector<types::Value>& args) {
+  thread_local types::KeyEncoder encoder;
+  encoder.Begin(args.size(), function);
+  for (const types::Value& arg : args) encoder.Add(arg);
+  return encoder.bytes();
 }
 
 common::Result<std::unique_ptr<BoundExpr>> BoundExpr::Bind(
@@ -205,9 +214,8 @@ types::Value BoundExpr::Eval(const types::Tuple& tuple,
       if (cache == nullptr || cache->disabled()) {
         return invoke();
       }
-      const std::string key =
-          function_->name + "\x1f" + types::Tuple(args).Serialize();
-      return cache->GetOrCompute(key, invoke);
+      return cache->GetOrCompute(FunctionCache::Key(function_->name, args),
+                                 invoke);
     }
     case ExprKind::kAnd: {
       // SQL three-valued logic: false dominates NULL.

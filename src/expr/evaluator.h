@@ -2,9 +2,9 @@
 #define PPP_EXPR_EVALUATOR_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -39,10 +39,18 @@ class FunctionCache {
   /// repeated executions under the same configuration keep their memo.
   void Configure(const Options& options);
 
+  /// The memo key of `function(args)`: the arguments as a types::KeyEncoder
+  /// row tagged with the function name, written into a per-thread buffer of
+  /// the function cache's own (its probes run inside predicate-cache
+  /// computes, which may still own the predicate cache's buffer). The view
+  /// stays valid until this thread's next call.
+  static std::string_view Key(std::string_view function,
+                              const std::vector<types::Value>& args);
+
   /// Returns the memoized result, running `compute` at most once per
   /// distinct key (concurrent probers of an in-flight key wait).
-  types::Value GetOrCompute(const std::string& key,
-                            const std::function<types::Value()>& compute) {
+  template <typename Compute>
+  types::Value GetOrCompute(std::string_view key, const Compute& compute) {
     return memo_.GetOrCompute(key, compute);
   }
 

@@ -22,8 +22,9 @@ void AppendString(std::string* out, std::string_view s) {
 
 }  // namespace
 
-void KeyEncoder::Begin(size_t count) {
-  bytes_.clear();
+void KeyEncoder::Begin(size_t count, std::string_view tag) {
+  bytes_.assign(tag);
+  if (!tag.empty()) bytes_ += '\x1f';
   AppendPod<uint32_t>(&bytes_, static_cast<uint32_t>(count));
 }
 

@@ -3,6 +3,7 @@
 
 #include <cstddef>
 #include <string>
+#include <string_view>
 
 #include "types/value.h"
 
@@ -13,14 +14,18 @@ class ColumnBatch;
 /// Writes a row of values in the storage wire format (a uint32 value count,
 /// then per value a type tag and its payload) into a reused buffer, one
 /// value at a time. This is the only encoder of that format:
-/// Tuple::Serialize writes through it, and the §5.1 predicate caches key on
-/// it — from Tuple values (Filter) and straight from ColumnBatch cells
-/// (nested-loop join) — so one binding encodes to the same bytes whichever
-/// operator probes a shared cache.
+/// Tuple::Serialize writes through it, and both §5.1 cache kinds key on it:
+/// the predicate caches from Tuple values (Filter) and straight from
+/// ColumnBatch cells (nested-loop join) — so one binding encodes to the
+/// same bytes whichever operator probes a shared cache — and the function
+/// cache from argument values, tagged with the function name.
 class KeyEncoder {
  public:
   /// Starts a new row of `count` values, keeping the buffer's capacity.
-  void Begin(size_t count);
+  /// A non-empty `tag` (the function cache's function name) is written
+  /// ahead of the row with a 0x1f separator, so rows under different tags
+  /// never share bytes.
+  void Begin(size_t count, std::string_view tag = {});
 
   void Add(const Value& value);
 

@@ -4,6 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <list>
+#include <map>
+#include <random>
+#include <thread>
+
 #include "common/sharded_memo.h"
 #include "exec/executor.h"
 #include "expr/predicate.h"
@@ -293,6 +300,208 @@ TEST_F(CacheTest, ByteBoundTriggersEvictions) {
   }
   EXPECT_GT(memo.evictions(), 0u);
   EXPECT_LT(memo.entries(), 100u);
+}
+
+/// Reference model of the memo's serial behaviour: one std::map for the
+/// entries, one std::list for the eviction order (front = next victim).
+class MemoModel {
+ public:
+  using Options = common::ShardedMemo<std::string>::Options;
+
+  explicit MemoModel(const Options& options) : options_(options) {}
+
+  /// Mirrors GetOrCompute; returns true on a hit.
+  bool Probe(const std::string& key) {
+    ++probes_;
+    auto it = entries_.find(key);
+    if (it != entries_.end()) {
+      ++hits_;
+      if (options_.lru) order_.splice(order_.end(), order_, it->second);
+      return true;
+    }
+    if (options_.adaptive && probes_ >= options_.probe_window &&
+        hits_ == 0) {
+      disabled_ = true;
+      entries_.clear();
+      order_.clear();
+      bytes_ = 0;
+      return false;
+    }
+    const size_t charge = key.size() + kOverhead;
+    while (!order_.empty() &&
+           ((options_.max_entries > 0 &&
+             entries_.size() >= options_.max_entries) ||
+            (options_.max_bytes > 0 &&
+             bytes_ + charge > options_.max_bytes))) {
+      bytes_ -= order_.front().size() + kOverhead;
+      entries_.erase(order_.front());
+      order_.pop_front();
+      ++evictions_;
+    }
+    order_.push_back(key);
+    entries_[key] = std::prev(order_.end());
+    bytes_ += charge;
+    return false;
+  }
+
+  static constexpr size_t kOverhead =
+      common::ShardedMemo<std::string>::kEntryOverhead;
+  Options options_;
+  std::map<std::string, std::list<std::string>::iterator> entries_;
+  std::list<std::string> order_;
+  size_t bytes_ = 0;
+  uint64_t probes_ = 0;
+  uint64_t hits_ = 0;
+  uint64_t evictions_ = 0;
+  bool disabled_ = false;
+};
+
+TEST(ShardedMemoModelTest, SerialProbesMatchReferenceModel) {
+  // Keys on both sides of the memo's inline key size: 8-byte and 40-byte.
+  std::vector<std::string> universe;
+  for (int i = 0; i < 12; ++i) {
+    std::string key = "k";
+    key += std::to_string(1000000 + i);
+    if (i % 3 == 0) key += std::string(32, static_cast<char>('a' + i));
+    universe.push_back(key);
+  }
+  struct Case {
+    const char* name;
+    size_t max_entries;
+    size_t max_bytes;
+    bool adaptive;
+  };
+  const size_t entry = 8 + MemoModel::kOverhead;
+  const Case cases[] = {
+      {"entries", 5, 0, false},
+      {"bytes", 0, 5 * entry, false},
+      {"both", 3, 4 * entry, false},
+      {"adaptive", 0, 0, true},
+      {"adaptive-bounded", 6, 0, true},
+  };
+  for (const Case& c : cases) {
+    int disabled_runs = 0;
+    for (const bool lru : {false, true}) {
+      for (uint32_t seed = 1; seed <= 8; ++seed) {
+        SCOPED_TRACE(std::string(c.name) + (lru ? " lru" : " fifo") +
+                     " seed " + std::to_string(seed));
+        common::ShardedMemo<std::string>::Options options;
+        options.max_entries = c.max_entries;
+        options.max_bytes = c.max_bytes;
+        options.lru = lru;
+        options.adaptive = c.adaptive;
+        options.probe_window = 6;
+        common::ShardedMemo<std::string> memo(options);
+        MemoModel model(options);
+        std::mt19937 rng(seed);
+        std::uniform_int_distribution<size_t> pick(0, universe.size() - 1);
+        size_t computes = 0;
+        for (int step = 0; step < 400 && !memo.disabled(); ++step) {
+          const std::string& key = universe[pick(rng)];
+          const size_t before = computes;
+          const std::string value = memo.GetOrCompute(key, [&] {
+            ++computes;
+            return "v" + key;
+          });
+          const bool hit = model.Probe(key);
+          ASSERT_EQ(value, "v" + key);
+          ASSERT_EQ(computes == before, hit) << "step " << step;
+          ASSERT_EQ(memo.disabled(), model.disabled_);
+          ASSERT_EQ(memo.probes(), model.probes_);
+          ASSERT_EQ(memo.hits(), model.hits_);
+          ASSERT_EQ(memo.evictions(), model.evictions_);
+          ASSERT_EQ(memo.entries(), model.entries_.size());
+          ASSERT_EQ(memo.approx_bytes(), model.bytes_);
+          if (c.max_bytes > 0) {
+            ASSERT_LE(memo.approx_bytes(), c.max_bytes);
+          }
+        }
+        ASSERT_EQ(computes, model.probes_ - model.hits_);
+        if (model.disabled_) ++disabled_runs;
+      }
+    }
+    // Adaptive runs must cover both outcomes: a hit inside the 6-probe
+    // window keeps the memo, none disables it.
+    if (c.adaptive) {
+      EXPECT_GT(disabled_runs, 0) << c.name;
+      EXPECT_LT(disabled_runs, 16) << c.name;
+    }
+  }
+}
+
+TEST(ShardedMemoConcurrencyTest, OverlappingProbersComputeEachKeyOnce) {
+  common::ShardedMemo<int64_t>::Options options;
+  options.shards = 8;
+  common::ShardedMemo<int64_t> memo(options);
+  std::atomic<uint64_t> hits{0};
+  std::atomic<uint64_t> misses{0};
+  common::ShardedMemo<int64_t>::Listener listener;
+  listener.on_hit = [&hits] { hits.fetch_add(1); };
+  listener.on_miss = [&misses] { misses.fetch_add(1); };
+  memo.set_listener(std::move(listener));
+
+  constexpr int kThreads = 8;
+  constexpr int kProbesPerThread = 300;
+  constexpr int kDistinct = 64;
+  std::atomic<uint64_t> computes{0};
+  std::atomic<bool> wrong{false};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kProbesPerThread; ++i) {
+        // Each thread walks the keys from its own offset, so every key is
+        // probed by several threads, often while it is still computing.
+        const int64_t k = (i * 7 + t * 5) % kDistinct;
+        const int64_t got =
+            memo.GetOrCompute(std::to_string(k) + "-key", [&] {
+              computes.fetch_add(1);
+              std::this_thread::sleep_for(std::chrono::microseconds(200));
+              return k * k;
+            });
+        if (got != k * k) wrong.store(true);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_FALSE(wrong.load());
+  EXPECT_EQ(computes.load(), static_cast<uint64_t>(kDistinct));
+  EXPECT_EQ(memo.probes(), static_cast<uint64_t>(kThreads) * kProbesPerThread);
+  EXPECT_EQ(hits.load() + misses.load(), memo.probes());
+  EXPECT_EQ(memo.hits(), hits.load());
+  EXPECT_EQ(misses.load(), computes.load());
+  EXPECT_EQ(memo.entries(), static_cast<size_t>(kDistinct));
+}
+
+TEST(ShardedMemoGrowthTest, EveryKeyHitsAfterManyIndexGrowths) {
+  constexpr int kKeys = 50000;
+  for (const size_t shards : {size_t{4}, size_t{64}}) {
+    SCOPED_TRACE(std::to_string(shards) + " shards");
+    common::ShardedMemo<int>::Options options;
+    options.shards = shards;
+    common::ShardedMemo<int> memo(options);
+    // Alternate short and long keys so both key layouts move on growth.
+    const auto key_of = [](int i) {
+      std::string key = "g";
+      key += std::to_string(i);
+      if (i % 2 == 1) key += "-with-a-suffix-past-the-inline-size";
+      return key;
+    };
+    for (int i = 0; i < kKeys; ++i) {
+      memo.GetOrCompute(key_of(i), [i] { return i; });
+    }
+    ASSERT_EQ(memo.entries(), static_cast<size_t>(kKeys));
+    int recomputes = 0;
+    for (int i = 0; i < kKeys; ++i) {
+      const int got = memo.GetOrCompute(key_of(i), [&] {
+        ++recomputes;
+        return -1;
+      });
+      ASSERT_EQ(got, i);
+    }
+    EXPECT_EQ(recomputes, 0);
+    EXPECT_EQ(memo.hits(), static_cast<uint64_t>(kKeys));
+    EXPECT_EQ(memo.evictions(), 0u);
+  }
 }
 
 TEST_F(CacheTest, ByteBoundedPredicateCacheEndToEnd) {

@@ -791,6 +791,27 @@ TEST(KeyEncoderTest, CellsAndValuesEncodeLikeSerialize) {
   EXPECT_EQ(encoder.bytes(), pinned);
 }
 
+/// The [Jhi88] function cache keys on the function name, a 0x1f separator
+/// and the serialized arguments; encoding through KeyEncoder must keep
+/// those bytes, for every argument type.
+TEST(KeyEncoderTest, FunctionCacheKeyMatchesNamePlusSerializedArgs) {
+  const std::vector<std::vector<Value>> calls = {
+      {},
+      {Value()},
+      {Value(int64_t{-7})},
+      {Value(3.25)},
+      {Value("a string longer than the small-string buffer")},
+      {Value(true), Value(false)},
+      {Value(), Value(int64_t{42}), Value(0.5), Value(""), Value(true)},
+  };
+  for (const std::vector<Value>& args : calls) {
+    for (const std::string name : {"f", "costly100"}) {
+      EXPECT_EQ(expr::FunctionCache::Key(name, args),
+                name + "\x1f" + Tuple(args).Serialize());
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Nested-loop join over inner column batches.
 // ---------------------------------------------------------------------------
