@@ -4,6 +4,8 @@
 // over-eager pullup safe; Q3 is the query where that matters most.
 
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "bench/bench_util.h"
 
@@ -21,6 +23,7 @@ int main() {
   cost::CostParams cache_off;
   cache_off.predicate_caching = false;
 
+  std::vector<workload::Measurement> all_bars;
   for (const char* id : {"Q1", "Q2", "Q3"}) {
     std::printf("\n%s:\n", id);
     std::vector<workload::Measurement> bars;
@@ -37,7 +40,12 @@ int main() {
       bars.push_back(std::move(off));
     }
     bench::PrintFigure("", bars);
+    for (workload::Measurement& m : bars) {
+      m.algorithm = std::string(id) + "/" + m.algorithm;
+      all_bars.push_back(std::move(m));
+    }
   }
+  bench::MaybeWriteBenchJson("ablation_caching", all_bars);
   std::printf("\npaper: 'join selectivities greater than 1 ... can be "
               "avoided by using function caching' (§4.2); under caching a "
               "join 'cannot produce more than 100%% of the values from "

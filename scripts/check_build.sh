@@ -40,8 +40,9 @@
 # and 9) run at PPP_SCALE=40 so the regression gate compares their charged
 # time, charged I/O, charged UDF cost and invocations against the
 # baselines exactly. The two cache benches (bench_parallel_predicates,
-# bench_ablation_cacheimpl) follow at the same scale and are gated the
-# same way.
+# bench_ablation_cacheimpl) and the two plan-shape benches
+# (bench_table1_summary, bench_ablation_caching) follow at the same scale
+# and are gated the same way.
 #
 # A Release pass (-DCMAKE_BUILD_TYPE=Release, into build-release/)
 # rebuilds and reruns the suite at -O3, with src/obs/ still -Werror; the
@@ -389,6 +390,22 @@ PPP_SCALE=40 PPP_BENCH_JSON=1 "$BUILD_DIR/bench/bench_parallel_predicates" \
 PPP_SCALE=40 PPP_BENCH_JSON=1 "$BUILD_DIR/bench/bench_ablation_cacheimpl" \
   >/dev/null
 for name in parallel ablation_cacheimpl; do
+  [[ -s "BENCH_${name}.json" ]] || {
+    echo "missing BENCH_${name}.json" >&2; exit 1;
+  }
+done
+
+# Plan-shape benches: bench_table1_summary runs Q1-Q5 under all seven
+# placement algorithms and bench_ablation_caching runs Q1-Q3 under three
+# algorithms with the §5.1 cache on and off, so every join method the plans
+# pick is gated against bench/baselines/ below, invocations and charged
+# cost exactly.
+rm -f BENCH_table1_summary.json BENCH_ablation_caching.json
+PPP_SCALE=40 PPP_BENCH_JSON=1 "$BUILD_DIR/bench/bench_table1_summary" \
+  >/dev/null
+PPP_SCALE=40 PPP_BENCH_JSON=1 "$BUILD_DIR/bench/bench_ablation_caching" \
+  >/dev/null
+for name in table1_summary ablation_caching; do
   [[ -s "BENCH_${name}.json" ]] || {
     echo "missing BENCH_${name}.json" >&2; exit 1;
   }

@@ -7,26 +7,6 @@
 
 namespace ppp::exec {
 
-namespace {
-
-/// Drains `op` into `out` (after Open), pulling batch-at-a-time.
-common::Status Drain(Operator* op, size_t batch_size,
-                     std::vector<types::Tuple>* out) {
-  PPP_RETURN_IF_ERROR(op->Open());
-  TupleBatch batch;
-  bool eof = false;
-  while (!eof) {
-    batch.clear();
-    PPP_RETURN_IF_ERROR(op->NextBatch(batch_size, &batch, &eof));
-    for (types::Tuple& tuple : batch.tuples) {
-      out->push_back(std::move(tuple));
-    }
-  }
-  return common::Status::OK();
-}
-
-}  // namespace
-
 // ---- NestedLoopJoinOp ------------------------------------------------------
 
 NestedLoopJoinOp::NestedLoopJoinOp(std::unique_ptr<Operator> outer,
@@ -156,37 +136,53 @@ std::string IndexNestedLoopJoinOp::Describe() const {
 MergeJoinOp::MergeJoinOp(std::unique_ptr<Operator> outer,
                          std::unique_ptr<Operator> inner,
                          size_t outer_key_index, size_t inner_key_index)
-    : outer_(std::move(outer)),
-      inner_(std::move(inner)),
-      outer_key_(outer_key_index),
-      inner_key_(inner_key_index) {
+    : outer_(std::move(outer)), inner_(std::move(inner)) {
   schema_ = types::RowSchema::Concat(outer_->schema(), inner_->schema());
+  outer_side_.key_index = outer_key_index;
+  inner_side_.key_index = inner_key_index;
+}
+
+int MergeJoinOp::CompareKeys(const Side& a, const RowRef& x, const Side& b,
+                             const RowRef& y) {
+  if (a.int_keys && b.int_keys) {
+    return x.key < y.key ? -1 : (x.key > y.key ? 1 : 0);
+  }
+  return a.batches[x.batch].CompareCells(a.key_index, x.row,
+                                         b.batches[y.batch], b.key_index,
+                                         y.row);
+}
+
+common::Status MergeJoinOp::Load(Operator* child, Side* side) {
+  PPP_RETURN_IF_ERROR(child->Open());
+  side->rows.clear();
+  side->int_keys = true;
+  uint32_t used = 0;
+  bool eof = false;
+  while (!eof) {
+    if (used == side->batches.size()) side->batches.emplace_back();
+    types::ColumnBatch& batch = side->batches[used];
+    PPP_RETURN_IF_ERROR(child->NextColumnBatch(batch_size_, &batch, &eof));
+    if (batch.selected() == 0) continue;
+    const types::ColumnBatch::Column& key = batch.column(side->key_index);
+    const bool int_keys = !key.boxed && key.type == types::TypeId::kInt64;
+    side->int_keys = side->int_keys && int_keys;
+    for (const uint32_t row : batch.selection()) {
+      // NULL keys never join.
+      if (key.nulls[row] != 0) continue;
+      side->rows.push_back({int_keys ? key.i64[row] : 0, used, row});
+    }
+    ++used;
+  }
+  std::stable_sort(side->rows.begin(), side->rows.end(),
+                   [side](const RowRef& x, const RowRef& y) {
+                     return CompareKeys(*side, x, *side, y) < 0;
+                   });
+  return common::Status::OK();
 }
 
 common::Status MergeJoinOp::OpenImpl() {
-  outer_rows_.clear();
-  inner_rows_.clear();
-  PPP_RETURN_IF_ERROR(Drain(outer_.get(), batch_size_, &outer_rows_));
-  PPP_RETURN_IF_ERROR(Drain(inner_.get(), batch_size_, &inner_rows_));
-  // NULL keys never join.
-  auto null_key = [](size_t key) {
-    return [key](const types::Tuple& t) { return t.Get(key).is_null(); };
-  };
-  outer_rows_.erase(std::remove_if(outer_rows_.begin(), outer_rows_.end(),
-                                   null_key(outer_key_)),
-                    outer_rows_.end());
-  inner_rows_.erase(std::remove_if(inner_rows_.begin(), inner_rows_.end(),
-                                   null_key(inner_key_)),
-                    inner_rows_.end());
-  auto by_key = [](size_t key) {
-    return [key](const types::Tuple& a, const types::Tuple& b) {
-      return a.Get(key).Compare(b.Get(key)) < 0;
-    };
-  };
-  std::stable_sort(outer_rows_.begin(), outer_rows_.end(),
-                   by_key(outer_key_));
-  std::stable_sort(inner_rows_.begin(), inner_rows_.end(),
-                   by_key(inner_key_));
+  PPP_RETURN_IF_ERROR(Load(outer_.get(), &outer_side_));
+  PPP_RETURN_IF_ERROR(Load(inner_.get(), &inner_side_));
   oi_ = 0;
   inner_base_ = 0;
   inner_end_ = 0;
@@ -196,22 +192,26 @@ common::Status MergeJoinOp::OpenImpl() {
 }
 
 common::Status MergeJoinOp::NextImpl(types::Tuple* tuple, bool* eof) {
+  const std::vector<RowRef>& outer_rows = outer_side_.rows;
+  const std::vector<RowRef>& inner_rows = inner_side_.rows;
   while (true) {
     if (group_active_) {
       if (group_pos_ < inner_end_) {
-        *tuple = types::Tuple::Concat(outer_rows_[oi_],
-                                      inner_rows_[group_pos_]);
+        const RowRef& outer = outer_rows[oi_];
+        const RowRef& inner = inner_rows[group_pos_];
+        *tuple = inner_side_.batches[inner.batch].ConcatRow(
+            outer_side_.batches[outer.batch], outer.row, inner.row);
         ++group_pos_;
         *eof = false;
         return common::Status::OK();
       }
       // Outer row exhausted its group; the next outer row may share the
       // key and reuse the same group.
-      const types::Value key = outer_rows_[oi_].Get(outer_key_);
       ++oi_;
       group_active_ = false;
-      if (oi_ < outer_rows_.size() &&
-          outer_rows_[oi_].Get(outer_key_).Compare(key) == 0) {
+      if (oi_ < outer_rows.size() &&
+          CompareKeys(outer_side_, outer_rows[oi_], outer_side_,
+                      outer_rows[oi_ - 1]) == 0) {
         group_pos_ = inner_base_;
         group_active_ = true;
         continue;
@@ -219,22 +219,22 @@ common::Status MergeJoinOp::NextImpl(types::Tuple* tuple, bool* eof) {
       inner_base_ = inner_end_;
       continue;
     }
-    if (oi_ >= outer_rows_.size() || inner_base_ >= inner_rows_.size()) {
+    if (oi_ >= outer_rows.size() || inner_base_ >= inner_rows.size()) {
       *eof = true;
       return common::Status::OK();
     }
-    const int cmp = outer_rows_[oi_].Get(outer_key_).Compare(
-        inner_rows_[inner_base_].Get(inner_key_));
+    const int cmp = CompareKeys(outer_side_, outer_rows[oi_], inner_side_,
+                                inner_rows[inner_base_]);
     if (cmp < 0) {
       ++oi_;
     } else if (cmp > 0) {
       ++inner_base_;
     } else {
       // Delimit the inner group of this key.
-      const types::Value key = inner_rows_[inner_base_].Get(inner_key_);
       inner_end_ = inner_base_ + 1;
-      while (inner_end_ < inner_rows_.size() &&
-             inner_rows_[inner_end_].Get(inner_key_).Compare(key) == 0) {
+      while (inner_end_ < inner_rows.size() &&
+             CompareKeys(inner_side_, inner_rows[inner_end_], inner_side_,
+                         inner_rows[inner_base_]) == 0) {
         ++inner_end_;
       }
       group_pos_ = inner_base_;
@@ -259,21 +259,69 @@ HashJoinOp::HashJoinOp(std::unique_ptr<Operator> outer,
   schema_ = types::RowSchema::Concat(outer_->schema(), inner_->schema());
 }
 
+template <typename SameKey>
+uint32_t HashJoinOp::FindGroup(uint64_t hash, const SameKey& same_key,
+                               size_t* slot) const {
+  const size_t mask = slots_.size() - 1;
+  size_t i = static_cast<size_t>(hash) & mask;
+  while (slots_[i] != 0) {
+    const uint32_t group = slots_[i] - 1;
+    if (groups_[group].hash == hash && same_key(rows_[groups_[group].head])) {
+      *slot = i;
+      return group;
+    }
+    i = (i + 1) & mask;
+  }
+  *slot = i;
+  return kNone;
+}
+
+void HashJoinOp::GrowSlots() {
+  slots_.assign(slots_.size() * 2, 0);
+  const size_t mask = slots_.size() - 1;
+  for (size_t group = 0; group < groups_.size(); ++group) {
+    size_t i = static_cast<size_t>(groups_[group].hash) & mask;
+    while (slots_[i] != 0) i = (i + 1) & mask;
+    slots_[i] = static_cast<uint32_t>(group + 1);
+  }
+}
+
 common::Status HashJoinOp::OpenImpl() {
-  table_.clear();
+  rows_.clear();
+  groups_.clear();
+  slots_.assign(16, 0);
   // Per-batch build loop: each key is hashed exactly once; the hash lands
-  // in the table entry and (below) in the transferred Bloom filter.
+  // in its group and (below) in the transferred Bloom filter.
   PPP_RETURN_IF_ERROR(inner_->Open());
-  TupleBatch batch;
+  uint32_t used = 0;
   bool eof = false;
   while (!eof) {
-    batch.clear();
-    PPP_RETURN_IF_ERROR(inner_->NextBatch(batch_size_, &batch, &eof));
-    for (types::Tuple& row : batch.tuples) {
-      const types::Value& key = row.Get(inner_key_);
-      if (key.is_null()) continue;
-      const uint64_t hash = static_cast<uint64_t>(key.Hash());
-      table_[HashedKey{key, hash}].push_back(std::move(row));
+    if (used == batches_.size()) batches_.emplace_back();
+    types::ColumnBatch& batch = batches_[used];
+    PPP_RETURN_IF_ERROR(inner_->NextColumnBatch(batch_size_, &batch, &eof));
+    if (batch.selected() == 0) continue;
+    const uint32_t batch_index = used++;
+    for (const uint32_t row : batch.selection()) {
+      if (batch.IsNull(inner_key_, row)) continue;
+      const uint64_t hash = batch.HashCell(inner_key_, row);
+      size_t slot = 0;
+      const uint32_t group = FindGroup(
+          hash,
+          [&](const BuildRow& head) {
+            return batches_[head.batch].CompareCells(
+                       inner_key_, head.row, batch, inner_key_, row) == 0;
+          },
+          &slot);
+      const auto id = static_cast<uint32_t>(rows_.size());
+      rows_.push_back({batch_index, row, kNone});
+      if (group != kNone) {
+        rows_[groups_[group].tail].next = id;
+        groups_[group].tail = id;
+        continue;
+      }
+      slots_[slot] = static_cast<uint32_t>(groups_.size() + 1);
+      groups_.push_back({hash, id, id});
+      if (groups_.size() * 2 > slots_.size()) GrowSlots();
     }
   }
   if (transfer_ != nullptr && !transfer_->published()) {
@@ -285,35 +333,31 @@ common::Status HashJoinOp::OpenImpl() {
       span.emplace("exec", "bloom.build");
       span->AddArg("site", transfer_->Site());
     }
-    auto filter = std::make_unique<BloomFilter>(table_.size());
-    for (const auto& [key, rows] : table_) filter->InsertHash(key.hash);
+    auto filter = std::make_unique<BloomFilter>(groups_.size());
+    for (const KeyGroup& group : groups_) filter->InsertHash(group.hash);
     if (span.has_value()) {
-      span->AddArg("keys", std::to_string(table_.size()));
+      span->AddArg("keys", std::to_string(groups_.size()));
       span->AddArg("bits_set", std::to_string(filter->BitsSet()));
     }
     transfer_->Publish(std::move(filter));
   }
-  have_outer_ = false;
-  current_matches_ = nullptr;
-  match_pos_ = 0;
+  match_ = kNone;
   return outer_->Open();
 }
 
 common::Status HashJoinOp::NextImpl(types::Tuple* tuple, bool* eof) {
   while (true) {
-    if (have_outer_ && current_matches_ != nullptr &&
-        match_pos_ < current_matches_->size()) {
-      const types::Tuple& inner = (*current_matches_)[match_pos_];
-      ++match_pos_;
-      if (match_pos_ == current_matches_->size()) {
+    if (match_ != kNone) {
+      const BuildRow& build = rows_[match_];
+      match_ = build.next;
+      const types::ColumnBatch& batch = batches_[build.batch];
+      if (match_ == kNone) {
         // Last (typically only) match for this outer row: steal the outer
         // tuple instead of copying every value. The next iteration
         // overwrites outer_tuple_ before reading it.
-        *tuple = types::Tuple::Concat(std::move(outer_tuple_), inner);
-        have_outer_ = false;
-        current_matches_ = nullptr;
+        *tuple = batch.ConcatRow(std::move(outer_tuple_), build.row);
       } else {
-        *tuple = types::Tuple::Concat(outer_tuple_, inner);
+        *tuple = batch.ConcatRow(outer_tuple_, build.row);
       }
       *eof = false;
       return common::Status::OK();
@@ -324,17 +368,19 @@ common::Status HashJoinOp::NextImpl(types::Tuple* tuple, bool* eof) {
       *eof = true;
       return common::Status::OK();
     }
-    have_outer_ = true;
-    match_pos_ = 0;
-    current_matches_ = nullptr;
     const types::Value& key = outer_tuple_.Get(outer_key_);
     if (key.is_null()) continue;
-    auto it = table_.find(
-        HashedKey{key, static_cast<uint64_t>(key.Hash())});
-    if (it != table_.end()) {
-      current_matches_ = &it->second;
-    } else if (transfer_ != nullptr &&
-               transfer_->ActiveFilter() != nullptr) {
+    size_t slot = 0;
+    const uint32_t group = FindGroup(
+        static_cast<uint64_t>(key.Hash()),
+        [&](const BuildRow& head) {
+          return batches_[head.batch].CompareCell(inner_key_, head.row,
+                                                  key) == 0;
+        },
+        &slot);
+    if (group != kNone) {
+      match_ = groups_[group].head;
+    } else if (transfer_ != nullptr && transfer_->ActiveFilter() != nullptr) {
       // This row survived the transferred filter but has no join partner:
       // a measured false positive.
       transfer_->RecordJoinMiss();

@@ -1,7 +1,6 @@
 #include "exec/scan_ops.h"
 
 #include <algorithm>
-#include <functional>
 #include <optional>
 
 #include "common/string_util.h"
@@ -42,43 +41,6 @@ void TransferProbe::FilterBatch(TupleBatch* batch) const {
   }
 }
 
-namespace {
-
-/// Hash of one column cell, computed from native column storage. Must stay
-/// byte-for-byte consistent with Value::Hash — the build side inserted
-/// Value::Hash values (vector_test pins the equivalence).
-uint64_t HashColumnCell(const types::ColumnBatch& batch, size_t col_index,
-                        uint32_t row) {
-  const types::ColumnBatch::Column& col = batch.column(col_index);
-  if (col.boxed) {
-    return static_cast<uint64_t>(batch.GetValue(col_index, row).Hash());
-  }
-  if (col.nulls[row] != 0) return 0x9E3779B9u;
-  switch (col.type) {
-    case types::TypeId::kInt64: {
-      const int64_t v = col.i64[row];
-      const double d = static_cast<double>(v);
-      if (static_cast<int64_t>(d) == v) {
-        return static_cast<uint64_t>(std::hash<double>()(d));
-      }
-      return static_cast<uint64_t>(std::hash<int64_t>()(v));
-    }
-    case types::TypeId::kBool:
-      return static_cast<uint64_t>(
-          std::hash<double>()(col.i64[row] != 0 ? 1.0 : 0.0));
-    case types::TypeId::kDouble:
-      return static_cast<uint64_t>(std::hash<double>()(col.f64[row]));
-    case types::TypeId::kString:
-      return static_cast<uint64_t>(
-          std::hash<std::string>()(std::string(col.StringAt(row))));
-    case types::TypeId::kNull:
-      break;
-  }
-  return 0x9E3779B9u;
-}
-
-}  // namespace
-
 void TransferProbe::FilterColumns(types::ColumnBatch* batch) const {
   for (const Slot& slot : slots_) {
     const BloomFilter* filter = slot.transfer->ActiveFilter();
@@ -93,7 +55,7 @@ void TransferProbe::FilterColumns(types::ColumnBatch* batch) const {
     std::vector<uint64_t> hashes;
     hashes.reserve(probed);
     for (const uint32_t row : sel) {
-      hashes.push_back(HashColumnCell(*batch, slot.key_index, row));
+      hashes.push_back(batch->HashCell(slot.key_index, row));
     }
     std::vector<char> keep;
     const size_t kept = filter->ProbeBatch(hashes.data(), probed, &keep);

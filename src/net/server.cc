@@ -433,7 +433,7 @@ void Server::RunStatement(const std::shared_ptr<Connection>& conn,
   } else {
     const serve::QueryResult& r = *result;
     for (const types::Tuple& row : r.rows) {
-      response += EncodeFrame(EncodeRowPayload(row));
+      AppendRowFrame(row, &response);
     }
     std::string ok = common::StringPrintf(
         "OK rows=%zu cols=%zu hit=%d generic=%d optimize_us=%lld "

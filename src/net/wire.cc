@@ -6,16 +6,34 @@
 
 namespace ppp::net {
 
+namespace {
+
+/// Writes `n` as the 4-byte big-endian length prefix at `dst`.
+void PutLength(uint32_t n, char* dst) {
+  dst[0] = static_cast<char>((n >> 24) & 0xff);
+  dst[1] = static_cast<char>((n >> 16) & 0xff);
+  dst[2] = static_cast<char>((n >> 8) & 0xff);
+  dst[3] = static_cast<char>(n & 0xff);
+}
+
+}  // namespace
+
 std::string EncodeFrame(std::string_view payload) {
-  const uint32_t n = static_cast<uint32_t>(payload.size());
   std::string out;
   out.reserve(4 + payload.size());
-  out.push_back(static_cast<char>((n >> 24) & 0xff));
-  out.push_back(static_cast<char>((n >> 16) & 0xff));
-  out.push_back(static_cast<char>((n >> 8) & 0xff));
-  out.push_back(static_cast<char>(n & 0xff));
+  out.append(4, '\0');
+  PutLength(static_cast<uint32_t>(payload.size()), out.data());
   out.append(payload);
   return out;
+}
+
+void AppendRowFrame(const types::Tuple& tuple, std::string* out) {
+  const size_t start = out->size();
+  out->append(4, '\0');
+  out->append("ROW ");
+  tuple.AppendSerialized(out);
+  PutLength(static_cast<uint32_t>(out->size() - start - 4),
+            out->data() + start);
 }
 
 common::Status FrameParser::Feed(const char* data, size_t n,
@@ -25,23 +43,30 @@ common::Status FrameParser::Feed(const char* data, size_t n,
         "frame parser poisoned by an earlier protocol violation");
   }
   buf_.append(data, n);
-  while (buf_.size() >= 4) {
-    const auto* b = reinterpret_cast<const unsigned char*>(buf_.data());
+  // Frames are read at an offset and the consumed prefix is dropped once
+  // per call: erasing per frame would move the rest of the buffer each
+  // time, quadratic in the frames one chunk carries.
+  size_t pos = 0;
+  common::Status status = common::Status::OK();
+  while (buf_.size() - pos >= 4) {
+    const auto* b = reinterpret_cast<const unsigned char*>(buf_.data() + pos);
     const uint32_t len = (static_cast<uint32_t>(b[0]) << 24) |
                          (static_cast<uint32_t>(b[1]) << 16) |
                          (static_cast<uint32_t>(b[2]) << 8) |
                          static_cast<uint32_t>(b[3]);
     if (len > max_frame_bytes_) {
       poisoned_ = true;
-      return common::Status::InvalidArgument(common::StringPrintf(
+      status = common::Status::InvalidArgument(common::StringPrintf(
           "declared frame length %u exceeds limit %zu",
           len, max_frame_bytes_));
+      break;
     }
-    if (buf_.size() < 4 + static_cast<size_t>(len)) break;
-    out->push_back(buf_.substr(4, len));
-    buf_.erase(0, 4 + static_cast<size_t>(len));
+    if (buf_.size() - pos - 4 < static_cast<size_t>(len)) break;
+    out->emplace_back(buf_, pos + 4, len);
+    pos += 4 + static_cast<size_t>(len);
   }
-  return common::Status::OK();
+  buf_.erase(0, pos);
+  return status;
 }
 
 void FrameParser::Reset() {
@@ -116,8 +141,8 @@ std::string EncodeRowPayload(const types::Tuple& tuple) {
   return "ROW " + tuple.Serialize();
 }
 
-common::Result<types::Tuple> DecodeRowPayload(const std::string& payload) {
-  if (payload.size() < 4 || payload.compare(0, 4, "ROW ") != 0) {
+common::Result<types::Tuple> DecodeRowPayload(std::string_view payload) {
+  if (payload.substr(0, 4) != "ROW ") {
     return common::Status::InvalidArgument("not a ROW payload");
   }
   return types::Tuple::Deserialize(payload.substr(4));

@@ -75,8 +75,13 @@ common::Result<types::RowSchema> DecodeSchema(const std::string& text);
 /// "ROW " + Tuple::Serialize() (binary-safe inside the frame).
 std::string EncodeRowPayload(const types::Tuple& tuple);
 
-/// Parses a ROW frame payload (including the tag) back into a tuple.
-common::Result<types::Tuple> DecodeRowPayload(const std::string& payload);
+/// Appends the bytes of EncodeFrame(EncodeRowPayload(tuple)) to `out`,
+/// writing the length, the tag and the row in place (no temporaries).
+void AppendRowFrame(const types::Tuple& tuple, std::string* out);
+
+/// Parses a ROW frame payload (including the tag) back into a tuple,
+/// reading the row bytes in place.
+common::Result<types::Tuple> DecodeRowPayload(std::string_view payload);
 
 /// Key=value accessor over an OK payload ("OK rows=3 cols=2 ...");
 /// returns the empty string when the key is absent.

@@ -1,6 +1,7 @@
 #include "types/column_batch.h"
 
 #include <cstring>
+#include <functional>
 
 #include "common/logging.h"
 
@@ -277,6 +278,36 @@ Value ColumnBatch::GetValue(size_t col_index, size_t row) const {
   return Value::Null();
 }
 
+void ColumnBatch::AppendRowValues(size_t row, std::vector<Value>* out) const {
+  for (const Column& col : columns_) {
+    if (col.boxed) {
+      out->push_back(col.values[row]);
+      continue;
+    }
+    if (col.nulls[row] != 0) {
+      out->emplace_back();
+      continue;
+    }
+    switch (col.type) {
+      case TypeId::kInt64:
+        out->emplace_back(col.i64[row]);
+        break;
+      case TypeId::kBool:
+        out->emplace_back(col.i64[row] != 0);
+        break;
+      case TypeId::kDouble:
+        out->emplace_back(col.f64[row]);
+        break;
+      case TypeId::kString:
+        out->emplace_back(std::string(col.StringAt(row)));
+        break;
+      case TypeId::kNull:
+        out->emplace_back();
+        break;
+    }
+  }
+}
+
 Tuple ColumnBatch::RowAsTuple(size_t row) const {
   return ConcatRow(Tuple(), row);
 }
@@ -285,10 +316,146 @@ Tuple ColumnBatch::ConcatRow(const Tuple& prefix, size_t row) const {
   std::vector<Value> values;
   values.reserve(prefix.NumValues() + columns_.size());
   values.insert(values.end(), prefix.values().begin(), prefix.values().end());
-  for (size_t c = 0; c < columns_.size(); ++c) {
-    values.push_back(GetValue(c, row));
-  }
+  AppendRowValues(row, &values);
   return Tuple(std::move(values));
+}
+
+Tuple ColumnBatch::ConcatRow(Tuple&& prefix, size_t row) const {
+  std::vector<Value> values = prefix.ReleaseValues();
+  values.reserve(values.size() + columns_.size());
+  AppendRowValues(row, &values);
+  return Tuple(std::move(values));
+}
+
+Tuple ColumnBatch::ConcatRow(const ColumnBatch& prefix, size_t prefix_row,
+                             size_t row) const {
+  std::vector<Value> values;
+  values.reserve(prefix.num_columns() + columns_.size());
+  prefix.AppendRowValues(prefix_row, &values);
+  AppendRowValues(row, &values);
+  return Tuple(std::move(values));
+}
+
+namespace {
+
+/// One cell read for comparison without building a Value: its type (kNull
+/// for SQL NULL), an int64 or bool (as 0/1), a double, or a string's bytes.
+struct CellKey {
+  TypeId type = TypeId::kNull;
+  int64_t i64 = 0;
+  double f64 = 0.0;
+  std::string_view str;
+};
+
+CellKey KeyOf(const Value& v) {
+  CellKey key;
+  key.type = v.type();
+  switch (key.type) {
+    case TypeId::kInt64:
+      key.i64 = v.AsInt64();
+      break;
+    case TypeId::kBool:
+      key.i64 = v.AsBool() ? 1 : 0;
+      break;
+    case TypeId::kDouble:
+      key.f64 = v.AsDouble();
+      break;
+    case TypeId::kString:
+      key.str = v.AsString();
+      break;
+    case TypeId::kNull:
+      break;
+  }
+  return key;
+}
+
+CellKey KeyAt(const ColumnBatch::Column& col, size_t row) {
+  if (col.boxed) return KeyOf(col.values[row]);
+  CellKey key;
+  if (col.nulls[row] != 0) return key;
+  key.type = col.type;
+  switch (col.type) {
+    case TypeId::kInt64:
+    case TypeId::kBool:
+      key.i64 = col.i64[row];
+      break;
+    case TypeId::kDouble:
+      key.f64 = col.f64[row];
+      break;
+    case TypeId::kString:
+      key.str = col.StringAt(row);
+      break;
+    case TypeId::kNull:
+      break;
+  }
+  return key;
+}
+
+bool IsNumeric(TypeId t) {
+  return t == TypeId::kInt64 || t == TypeId::kDouble || t == TypeId::kBool;
+}
+
+/// Value::Compare, case for case.
+int CompareKeys(const CellKey& a, const CellKey& b) {
+  if (a.type == TypeId::kNull || b.type == TypeId::kNull) {
+    if (a.type == b.type) return 0;
+    return a.type == TypeId::kNull ? -1 : 1;
+  }
+  if (IsNumeric(a.type) && IsNumeric(b.type)) {
+    if (a.type == TypeId::kInt64 && b.type == TypeId::kInt64) {
+      return a.i64 < b.i64 ? -1 : (a.i64 > b.i64 ? 1 : 0);
+    }
+    const double x =
+        a.type == TypeId::kDouble ? a.f64 : static_cast<double>(a.i64);
+    const double y =
+        b.type == TypeId::kDouble ? b.f64 : static_cast<double>(b.i64);
+    return x < y ? -1 : (x > y ? 1 : 0);
+  }
+  if (a.type == TypeId::kString && b.type == TypeId::kString) {
+    const int c = a.str.compare(b.str);
+    return c < 0 ? -1 : (c > 0 ? 1 : 0);
+  }
+  return static_cast<int>(a.type) < static_cast<int>(b.type) ? -1 : 1;
+}
+
+}  // namespace
+
+int ColumnBatch::CompareCells(size_t col, size_t row, const ColumnBatch& other,
+                              size_t other_col, size_t other_row) const {
+  return CompareKeys(KeyAt(columns_[col], row),
+                     KeyAt(other.columns_[other_col], other_row));
+}
+
+int ColumnBatch::CompareCell(size_t col, size_t row, const Value& value) const {
+  return CompareKeys(KeyAt(columns_[col], row), KeyOf(value));
+}
+
+uint64_t ColumnBatch::HashCell(size_t col_index, size_t row) const {
+  const Column& col = columns_[col_index];
+  if (col.boxed) return static_cast<uint64_t>(col.values[row].Hash());
+  if (col.nulls[row] != 0) return 0x9E3779B9u;
+  switch (col.type) {
+    case TypeId::kInt64: {
+      const int64_t v = col.i64[row];
+      const double d = static_cast<double>(v);
+      if (static_cast<int64_t>(d) == v) {
+        return static_cast<uint64_t>(std::hash<double>()(d));
+      }
+      return static_cast<uint64_t>(std::hash<int64_t>()(v));
+    }
+    case TypeId::kBool:
+      return static_cast<uint64_t>(
+          std::hash<double>()(col.i64[row] != 0 ? 1.0 : 0.0));
+    case TypeId::kDouble:
+      return static_cast<uint64_t>(std::hash<double>()(col.f64[row]));
+    case TypeId::kString:
+      // std::hash of a string_view equals std::hash of the same string.
+      return static_cast<uint64_t>(
+          std::hash<std::string_view>()(col.StringAt(row)));
+    case TypeId::kNull:
+      break;
+  }
+  return 0x9E3779B9u;
 }
 
 void ColumnBatch::Compact() {

@@ -92,6 +92,24 @@ class ColumnBatch {
   Tuple RowAsTuple(size_t row) const;
   /// The join output for `row`: `prefix`'s values followed by the row's.
   Tuple ConcatRow(const Tuple& prefix, size_t row) const;
+  /// Same, stealing `prefix`'s values (a hash join's last match for it).
+  Tuple ConcatRow(Tuple&& prefix, size_t row) const;
+  /// Same, with the prefix read from row `prefix_row` of another batch: a
+  /// merge join's output, built in one allocation straight from the cells.
+  Tuple ConcatRow(const ColumnBatch& prefix, size_t prefix_row,
+                  size_t row) const;
+
+  /// -- Cell keys -------------------------------------------------------------
+  /// Value::Compare of cell (col, row) with a cell of `other`, or with
+  /// `value`, read from native storage without building a Value (boxed
+  /// columns compare their stored Values).
+  int CompareCells(size_t col, size_t row, const ColumnBatch& other,
+                   size_t other_col, size_t other_row) const;
+  int CompareCell(size_t col, size_t row, const Value& value) const;
+  /// Value::Hash of cell (col, row), computed from native storage; equal to
+  /// GetValue(col, row).Hash(), so join tables and Bloom filters built from
+  /// cells agree with ones built from Values.
+  uint64_t HashCell(size_t col, size_t row) const;
 
   /// Densifies: physically drops unselected rows so selection() becomes
   /// all-rows again. The single boundary pipeline breakers may use before
@@ -105,6 +123,8 @@ class ColumnBatch {
   /// Converts a column to boxed Value storage (first type mismatch).
   void BoxColumn(size_t col);
   void AppendValue(size_t col, const Value& v);
+  /// Appends every cell of `row` to `out` as Values, built in place.
+  void AppendRowValues(size_t row, std::vector<Value>* out) const;
 
   RowSchema schema_;
   std::vector<Column> columns_;

@@ -20,6 +20,29 @@ void AppendString(std::string* out, std::string_view s) {
   out->append(s.data(), s.size());
 }
 
+void AppendValue(std::string* out, const Value& value) {
+  switch (value.type()) {
+    case TypeId::kNull:
+      AppendPod<uint8_t>(out, static_cast<uint8_t>(TypeId::kNull));
+      break;
+    case TypeId::kInt64:
+      AppendPod<uint8_t>(out, static_cast<uint8_t>(TypeId::kInt64));
+      AppendPod<int64_t>(out, value.AsInt64());
+      break;
+    case TypeId::kDouble:
+      AppendPod<uint8_t>(out, static_cast<uint8_t>(TypeId::kDouble));
+      AppendPod<double>(out, value.AsDouble());
+      break;
+    case TypeId::kBool:
+      AppendPod<uint8_t>(out, static_cast<uint8_t>(TypeId::kBool));
+      AppendPod<uint8_t>(out, value.AsBool() ? 1 : 0);
+      break;
+    case TypeId::kString:
+      AppendString(out, value.AsString());
+      break;
+  }
+}
+
 }  // namespace
 
 void KeyEncoder::Begin(size_t count, std::string_view tag) {
@@ -28,27 +51,12 @@ void KeyEncoder::Begin(size_t count, std::string_view tag) {
   AppendPod<uint32_t>(&bytes_, static_cast<uint32_t>(count));
 }
 
-void KeyEncoder::Add(const Value& value) {
-  switch (value.type()) {
-    case TypeId::kNull:
-      AppendPod<uint8_t>(&bytes_, static_cast<uint8_t>(TypeId::kNull));
-      break;
-    case TypeId::kInt64:
-      AppendPod<uint8_t>(&bytes_, static_cast<uint8_t>(TypeId::kInt64));
-      AppendPod<int64_t>(&bytes_, value.AsInt64());
-      break;
-    case TypeId::kDouble:
-      AppendPod<uint8_t>(&bytes_, static_cast<uint8_t>(TypeId::kDouble));
-      AppendPod<double>(&bytes_, value.AsDouble());
-      break;
-    case TypeId::kBool:
-      AppendPod<uint8_t>(&bytes_, static_cast<uint8_t>(TypeId::kBool));
-      AppendPod<uint8_t>(&bytes_, value.AsBool() ? 1 : 0);
-      break;
-    case TypeId::kString:
-      AppendString(&bytes_, value.AsString());
-      break;
-  }
+void KeyEncoder::Add(const Value& value) { AppendValue(&bytes_, value); }
+
+void KeyEncoder::AppendRow(const std::vector<Value>& values,
+                           std::string* out) {
+  AppendPod<uint32_t>(out, static_cast<uint32_t>(values.size()));
+  for (const Value& value : values) AppendValue(out, value);
 }
 
 void KeyEncoder::AddCell(const ColumnBatch& batch, size_t col_index,

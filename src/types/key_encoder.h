@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "types/value.h"
 
@@ -14,7 +15,8 @@ class ColumnBatch;
 /// Writes a row of values in the storage wire format (a uint32 value count,
 /// then per value a type tag and its payload) into a reused buffer, one
 /// value at a time. This is the only encoder of that format:
-/// Tuple::Serialize writes through it, and both §5.1 cache kinds key on it:
+/// Tuple::Serialize and the wire's ROW frames write through it (AppendRow),
+/// and both §5.1 cache kinds key on it:
 /// the predicate caches from Tuple values (Filter) and straight from
 /// ColumnBatch cells (nested-loop join) — so one binding encodes to the
 /// same bytes whichever operator probes a shared cache — and the function
@@ -37,6 +39,10 @@ class KeyEncoder {
 
   /// Moves the encoded row out, leaving the encoder empty.
   std::string Take() { return std::move(bytes_); }
+
+  /// Appends `values` as one untagged row to `out`, with no buffer of its
+  /// own (the wire writes rows straight into a response).
+  static void AppendRow(const std::vector<Value>& values, std::string* out);
 
  private:
   std::string bytes_;

@@ -25,7 +25,7 @@ Tuple Tuple::Concat(Tuple&& left, const Tuple& right) {
 namespace {
 
 template <typename T>
-bool ReadPod(const std::string& bytes, size_t* pos, T* out) {
+bool ReadPod(std::string_view bytes, size_t* pos, T* out) {
   if (*pos + sizeof(T) > bytes.size()) return false;
   std::memcpy(out, bytes.data() + *pos, sizeof(T));
   *pos += sizeof(T);
@@ -35,13 +35,16 @@ bool ReadPod(const std::string& bytes, size_t* pos, T* out) {
 }  // namespace
 
 std::string Tuple::Serialize() const {
-  KeyEncoder encoder;
-  encoder.Begin(values_.size());
-  for (const Value& v : values_) encoder.Add(v);
-  return encoder.Take();
+  std::string out;
+  KeyEncoder::AppendRow(values_, &out);
+  return out;
 }
 
-common::Result<Tuple> Tuple::Deserialize(const std::string& bytes) {
+void Tuple::AppendSerialized(std::string* out) const {
+  KeyEncoder::AppendRow(values_, out);
+}
+
+common::Result<Tuple> Tuple::Deserialize(std::string_view bytes) {
   size_t pos = 0;
   uint32_t count = 0;
   if (!ReadPod(bytes, &pos, &count)) {
@@ -90,7 +93,7 @@ common::Result<Tuple> Tuple::Deserialize(const std::string& bytes) {
         if (pos + len > bytes.size()) {
           return common::Status::InvalidArgument("tuple string truncated");
         }
-        values.emplace_back(bytes.substr(pos, len));
+        values.emplace_back(std::string(bytes.substr(pos, len)));
         pos += len;
         break;
       }

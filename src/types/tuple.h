@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -22,6 +23,8 @@ class Tuple {
   const Value& Get(size_t i) const { return values_[i]; }
   void Set(size_t i, Value v) { values_[i] = std::move(v); }
   const std::vector<Value>& values() const { return values_; }
+  /// Moves the values out, leaving the tuple empty.
+  std::vector<Value> ReleaseValues() { return std::move(values_); }
 
   /// Row concatenation (join output).
   static Tuple Concat(const Tuple& left, const Tuple& right);
@@ -36,8 +39,11 @@ class Tuple {
   /// layer and the wire protocol.
   std::string Serialize() const;
 
+  /// Appends the Serialize() bytes to `out`.
+  void AppendSerialized(std::string* out) const;
+
   /// Parses a byte string produced by Serialize().
-  static common::Result<Tuple> Deserialize(const std::string& bytes);
+  static common::Result<Tuple> Deserialize(std::string_view bytes);
 
   /// "(1, 'x', NULL)".
   std::string ToString() const;

@@ -11,10 +11,13 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <random>
 #include <set>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -89,6 +92,93 @@ TEST(WireTest, TruncatedFrameStaysBuffered) {
       parser.Feed(wire.data() + wire.size() - 3, 3, &out).ok());
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0], "QUERY SELECT 1");
+}
+
+TEST(WireTest, ManyFramesInOneFeedMatchByteAndRandomSplits) {
+  // 20k frames of 0-63 bytes, some with embedded NULs, back to back: one
+  // Feed of the whole stream, one byte per Feed, and seeded random splits
+  // must all reassemble the same payloads in order.
+  std::mt19937 rng(20240);
+  std::vector<std::string> payloads;
+  std::string wire;
+  for (int i = 0; i < 20000; ++i) {
+    std::string payload(rng() % 64, '\0');
+    for (char& c : payload) c = static_cast<char>(rng() % 256);
+    wire += net::EncodeFrame(payload);
+    payloads.push_back(std::move(payload));
+  }
+
+  net::FrameParser whole;
+  std::vector<std::string> whole_out;
+  ASSERT_TRUE(whole.Feed(wire.data(), wire.size(), &whole_out).ok());
+  EXPECT_EQ(whole_out, payloads);
+  EXPECT_EQ(whole.buffered(), 0u);
+
+  net::FrameParser bytewise;
+  std::vector<std::string> bytewise_out;
+  for (const char c : wire) {
+    ASSERT_TRUE(bytewise.Feed(&c, 1, &bytewise_out).ok());
+  }
+  EXPECT_EQ(bytewise_out, payloads);
+  EXPECT_EQ(bytewise.buffered(), 0u);
+
+  for (const size_t max_chunk : {size_t{7}, size_t{4096}, size_t{65536}}) {
+    net::FrameParser split;
+    std::vector<std::string> split_out;
+    size_t pos = 0;
+    while (pos < wire.size()) {
+      const size_t chunk =
+          std::min(wire.size() - pos, 1 + rng() % max_chunk);
+      ASSERT_TRUE(split.Feed(wire.data() + pos, chunk, &split_out).ok());
+      pos += chunk;
+    }
+    EXPECT_EQ(split_out, payloads) << "max chunk " << max_chunk;
+    EXPECT_EQ(split.buffered(), 0u);
+  }
+}
+
+TEST(WireTest, FramesBeforeAnOversizedHeaderAreDeliveredThenPoison) {
+  net::FrameParser parser(/*max_frame_bytes=*/16);
+  std::string wire = net::EncodeFrame("PING") + net::EncodeFrame("CLOSE");
+  const char giant[4] = {0x00, 0x00, 0x01, 0x00};  // 256 > 16.
+  wire.append(giant, 4);
+  std::vector<std::string> out;
+  EXPECT_FALSE(parser.Feed(wire.data(), wire.size(), &out).ok());
+  EXPECT_TRUE(parser.poisoned());
+  EXPECT_EQ(out, (std::vector<std::string>{"PING", "CLOSE"}));
+}
+
+TEST(WireTest, AppendRowFrameMatchesEncodedRowPayloadFrame) {
+  const std::vector<types::Tuple> rows = {
+      types::Tuple(std::vector<types::Value>{}),
+      types::Tuple(std::vector<types::Value>{types::Value()}),
+      types::Tuple(std::vector<types::Value>{
+          types::Value(int64_t{-42}), types::Value(3.5),
+          types::Value(std::string("x\0y", 3)), types::Value(true),
+          types::Value(false), types::Value()}),
+      types::Tuple(std::vector<types::Value>{
+          types::Value(std::string(300, 'p')), types::Value(int64_t{1} << 40)}),
+  };
+  std::string appended = "prefix";
+  std::string expected = "prefix";
+  for (const types::Tuple& row : rows) {
+    net::AppendRowFrame(row, &appended);
+    expected += net::EncodeFrame(net::EncodeRowPayload(row));
+  }
+  EXPECT_EQ(appended, expected);
+
+  // The frames parse back, and each ROW payload decodes from a view.
+  net::FrameParser parser;
+  std::vector<std::string> payloads;
+  ASSERT_TRUE(parser
+                  .Feed(appended.data() + 6, appended.size() - 6, &payloads)
+                  .ok());
+  ASSERT_EQ(payloads.size(), rows.size());
+  for (size_t i = 0; i < rows.size(); ++i) {
+    auto decoded = net::DecodeRowPayload(std::string_view(payloads[i]));
+    ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+    EXPECT_EQ(decoded->Serialize(), rows[i].Serialize());
+  }
 }
 
 TEST(WireTest, SchemaCodecRoundtrips) {

@@ -589,9 +589,10 @@ TEST_F(VectorExecTest, BatchSizeZeroIsClamped) {
 // Bloom-transfer hash parity on the columnar probe path.
 // ---------------------------------------------------------------------------
 
-/// The columnar probe path hashes native column cells (HashColumnCell)
-/// while the build side hashed Values — any divergence falsely prunes
-/// probe rows (Bloom filters must never have false negatives). Keys
+/// The columnar probe path and the hash join's build both hash native
+/// column cells (ColumnBatch::HashCell) while the row probe path hashes
+/// Values — any divergence falsely prunes probe rows (Bloom filters must
+/// never have false negatives). Keys
 /// include int64s that are not exactly representable as doubles, the case
 /// where Value::Hash switches hash functions.
 TEST(VectorTransferTest, ColumnarProbeHashMatchesValueHash) {
