@@ -3,6 +3,10 @@
 // with FIFO replacement vs the adaptive self-disable. "Such alternatives
 // do not form a focus of this paper ... we merely wish to point out that
 // it is easy and beneficial to implement a reasonable solution."
+//
+// Q5 adds the expensive *join* predicate: match100 runs inside a
+// nested-loop join, so every variant — the bounded and the adaptive memo
+// included — is probed a whole inner column batch at a time.
 
 #include <cstdio>
 
@@ -51,7 +55,7 @@ int main() {
   }
 
   std::vector<workload::Measurement> bars;
-  for (const char* id : {"Q1", "Q3"}) {
+  for (const char* id : {"Q1", "Q3", "Q5"}) {
     std::printf("\n%s (PredicateMigration plans):\n", id);
     std::printf("%-26s %14s %s\n", "cache variant", "measured",
                 "invocations");
@@ -81,6 +85,9 @@ int main() {
       "frees its (useless) table — the paper's planned optimization. On\n"
       "Q3 the chosen plan evaluates the predicate above the inflating\n"
       "join, where bindings repeat ~10x: any §5.1 cache recovers the 10x,\n"
-      "and only disabling caching pays full price.\n");
+      "and only disabling caching pays full price. On Q5 the expensive\n"
+      "join predicate sees each (t7, t3) binding once per execution, so\n"
+      "the adaptive variant gives up after its probe window and the\n"
+      "bounded one evicts without changing the invocation count.\n");
   return 0;
 }

@@ -381,7 +381,8 @@ done
 # Cache benches: bench_parallel_predicates sweeps 1-8 workers over the
 # sharded §5.1 memo (its exit code asserts the >= 2x speedup at 4 workers
 # and identical results and invocations at every worker count), and
-# bench_ablation_cacheimpl runs the §5.1 cache variants on Q1 and Q3. Both
+# bench_ablation_cacheimpl runs the §5.1 cache variants on Q1, Q3 and Q5
+# (Q5 probes them from a nested-loop join, a batch at a time). Both
 # are gated against bench/baselines/ below, invocations and charged cost
 # exactly.
 rm -f BENCH_parallel.json BENCH_ablation_cacheimpl.json

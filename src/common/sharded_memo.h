@@ -8,6 +8,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -35,6 +36,19 @@ namespace ppp::common {
 /// open-addressed array of 8-byte slots. A probe hashes the key once and,
 /// on a hit, reads one index slot and one entry.
 ///
+/// GetOrComputeBatch probes a whole column batch's keys in order: it
+/// hashes them all first, holds a shard's lock across each run of
+/// consecutive keys in that shard, and bumps the probe/hit counters and
+/// the hit listener once per run. A miss flushes the run's counts,
+/// then takes exactly the single-key miss path (adaptive check, pending
+/// registration, compute without the lock, publish with eviction), and the
+/// run continues with the next key. Each key therefore sees the table,
+/// the counters and the probe number it would see under one GetOrCompute
+/// call per key: duplicates inside a batch hit the entry their first
+/// occurrence published, eviction order and bounds are unchanged, and the
+/// adaptive disable fires at the same probe. GetOrCompute is the same loop
+/// over a one-key batch.
+///
 /// Replacement is FIFO per shard by default (the paper: "function or
 /// predicate caches can be limited in size, using any of a variety of
 /// replacement schemes"); `lru` recency-orders entries instead, so hot
@@ -43,9 +57,12 @@ namespace ppp::common {
 /// plus a fixed per-entry charge). The adaptive self-disable ("planned
 /// for Montage but not implemented", §5.1) is detected online: zero hits
 /// in the first `probe_window` probes disables the memo and frees its
-/// entries. All follow the serial semantics exactly when single-threaded;
-/// under concurrency, bounded caches may evict in a run-dependent order
-/// (the unbounded default stays exact).
+/// entries. All follow the serial semantics exactly when single-threaded.
+/// Under concurrency, invocation counts stay exact (at most one compute
+/// per distinct key, and hits + computes = probes), but bounded caches may
+/// evict in a run-dependent order, and a batch's run adds its probes and
+/// hits only when it flushes, so a concurrent miss's adaptive check may
+/// not see them yet.
 template <typename V>
 class ShardedMemo {
  public:
@@ -72,11 +89,15 @@ class ShardedMemo {
   /// Event callbacks, fired outside any per-key wait but possibly under a
   /// shard lock; must be cheap and non-blocking (atomic metric bumps).
   struct Listener {
-    std::function<void()> on_hit;
+    /// `count` hits: 1 per GetOrCompute hit, one call per run of hits in
+    /// GetOrComputeBatch.
+    std::function<void(uint64_t count)> on_hit;
     std::function<void()> on_miss;
     std::function<void()> on_eviction;
     std::function<void()> on_disable;
-    /// A probe found its shard mutex already held by another worker.
+    /// A shard lock acquisition found the mutex already held by another
+    /// worker: one acquisition per GetOrCompute, one per run of same-shard
+    /// keys in GetOrComputeBatch.
     std::function<void()> on_contention;
   };
 
@@ -117,58 +138,35 @@ class ShardedMemo {
   /// Returns the memoized value for `key`, running `compute` at most once
   /// per distinct key. `compute` executes without any shard lock held, and
   /// `key` is not read once it starts (callers may reuse its buffer there).
+  /// Callers stop probing once disabled(); a call after the disable
+  /// computes without probing.
   template <typename Compute>
   V GetOrCompute(std::string_view key, const Compute& compute) {
-    const uint64_t probe =
-        probes_.fetch_add(1, std::memory_order_relaxed) + 1;
     const uint64_t hash = std::hash<std::string_view>{}(key);
-    Shard& shard = shards_[ShardOf(hash)];
-    std::unique_lock<std::mutex> lock = LockShard(&shard);
-    const uint32_t id = shard.table.Find(hash, key);
-    if (id != kNone) {
-      CountHit();
-      if (options_.lru) shard.table.MoveToBack(id);
-      return shard.table.value(id);
+    V result{};
+    Probe(std::span<const std::string_view>(&key, 1), &hash,
+          [&](size_t) { return compute(); },
+          [&](size_t, const V& value) { result = value; });
+    return result;
+  }
+
+  /// Probes `keys` in order with exactly the effect of one GetOrCompute per
+  /// key (see the class comment), calling `compute(i)` for key i's misses
+  /// and `emit(i, value)` once per key, in key order. `emit` runs under a
+  /// shard lock (dropping it per key is the cost this call exists to
+  /// avoid), so it must be cheap and must not probe this memo; `compute`
+  /// runs without any lock. The keys must stay readable until the call
+  /// returns, also while a compute runs.
+  /// Once the memo is disabled, the remaining keys are computed without
+  /// probing, as a serial caller checking disabled() per key would.
+  template <typename Compute, typename Emit>
+  void GetOrComputeBatch(std::span<const std::string_view> keys,
+                         const Compute& compute, const Emit& emit) {
+    std::vector<uint64_t> hashes(keys.size());
+    for (size_t i = 0; i < keys.size(); ++i) {
+      hashes[i] = std::hash<std::string_view>{}(keys[i]);
     }
-    if (std::shared_ptr<Pending> pending = shard.FindPending(hash, key)) {
-      // Another worker is computing this key right now. Waiting (instead
-      // of recomputing) is what keeps invocation counts exact under
-      // parallelism.
-      CountHit();
-      shard.cv.wait(lock, [&] { return pending->ready; });
-      return pending->value;
-    }
-
-    if (listener_.on_miss) listener_.on_miss();
-    if (options_.adaptive && probe >= options_.probe_window &&
-        hits_.load(std::memory_order_relaxed) == 0) {
-      // Every binding so far was distinct: memoization cannot pay here.
-      // Free the memory (the footnote-4 swap problem) and stop keying.
-      // The disable condition depends only on probe/hit counts, so
-      // checking before the compute reproduces the serial decision.
-      disabled_.store(true, std::memory_order_release);
-      if (listener_.on_disable) listener_.on_disable();
-      lock.unlock();
-      Clear();
-      return compute();
-    }
-
-    auto pending = std::make_shared<Pending>();
-    pending->hash = hash;
-    pending->key.assign(key);
-    shard.pending.push_back(pending);
-    lock.unlock();
-
-    V value = compute();
-
-    lock.lock();
-    shard.ErasePending(pending.get());
-    // A memo disabled meanwhile has freed its table; keep it empty.
-    if (!disabled()) Publish(&shard, hash, pending->key, value);
-    pending->value = value;
-    pending->ready = true;
-    shard.cv.notify_all();
-    return value;
+    Probe(keys, hashes.data(), compute, emit);
   }
 
   /// Drops every published entry. Computations in flight are unaffected:
@@ -205,8 +203,9 @@ class ShardedMemo {
   uint64_t evictions() const {
     return evictions_.load(std::memory_order_relaxed);
   }
-  /// Probes that found their shard mutex already held — the contention
-  /// signal the sharding exists to keep near zero.
+  /// Shard lock acquisitions that found the mutex already held (see
+  /// Listener::on_contention) — the contention signal the sharding exists
+  /// to keep near zero.
   uint64_t contended_probes() const {
     return contended_probes_.load(std::memory_order_relaxed);
   }
@@ -433,9 +432,126 @@ class ShardedMemo {
     return static_cast<size_t>(((hash >> 32) * shards_.size()) >> 32);
   }
 
-  void CountHit() {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    if (listener_.on_hit) listener_.on_hit();
+  /// The probe loop of GetOrCompute and GetOrComputeBatch; `hashes[i]` is
+  /// the hash of `keys[i]`.
+  template <typename Compute, typename Emit>
+  void Probe(std::span<const std::string_view> keys, const uint64_t* hashes,
+             const Compute& compute, const Emit& emit) {
+    const size_t n = keys.size();
+    size_t i = 0;
+    while (i < n) {
+      if (disabled()) {
+        for (; i < n; ++i) emit(i, compute(i));
+        return;
+      }
+      const size_t shard_index = ShardOf(hashes[i]);
+      Shard& shard = shards_[shard_index];
+      std::unique_lock<std::mutex> lock = LockShard(&shard);
+      // Counts of the current run not yet added to probes_/hits_.
+      uint64_t run_probes = 0;
+      uint64_t run_hits = 0;
+      for (; i < n && ShardOf(hashes[i]) == shard_index; ++i) {
+        const uint64_t hash = hashes[i];
+        const uint32_t id = shard.table.Find(hash, keys[i]);
+        if (id != kNone) {
+          ++run_probes;
+          ++run_hits;
+          if (options_.lru) shard.table.MoveToBack(id);
+          emit(i, shard.table.value(id));
+          continue;
+        }
+        if (std::shared_ptr<Pending> pending =
+                shard.FindPending(hash, keys[i])) {
+          // Another worker is computing this key right now. Waiting
+          // (instead of recomputing) is what keeps invocation counts exact
+          // under parallelism.
+          ++run_probes;
+          ++run_hits;
+          FlushRun(&run_probes, &run_hits);
+          shard.cv.wait(lock, [&] { return pending->ready; });
+          emit(i, pending->value);
+          continue;
+        }
+        // The miss takes its probe number as a lone probe would, after the
+        // run's earlier probes and hits are counted. (Folding it into the
+        // flush as fetch_add(n) + n is what this would naturally be, but
+        // GCC 12 at -O2 miscompiles that here: it adds the old value to
+        // itself.)
+        FlushRun(&run_probes, &run_hits);
+        const uint64_t probe =
+            probes_.fetch_add(1, std::memory_order_relaxed) + 1;
+        const V value = Miss(&shard, &lock, probe, hash, keys[i],
+                             [&] { return compute(i); });
+        if (!lock.owns_lock()) {
+          // This miss disabled the memo; the rest is computed directly.
+          emit(i++, value);
+          break;
+        }
+        emit(i, value);
+        if (disabled()) {
+          ++i;
+          break;
+        }
+      }
+      FlushRun(&run_probes, &run_hits);
+    }
+  }
+
+  void CountHits(uint64_t count) {
+    hits_.fetch_add(count, std::memory_order_relaxed);
+    if (listener_.on_hit) listener_.on_hit(count);
+  }
+
+  /// Adds a batch run's pending probe and hit counts to the totals and
+  /// zeroes them.
+  void FlushRun(uint64_t* probes, uint64_t* hits) {
+    if (*probes > 0) {
+      probes_.fetch_add(*probes, std::memory_order_relaxed);
+      *probes = 0;
+    }
+    if (*hits > 0) {
+      CountHits(*hits);
+      *hits = 0;
+    }
+  }
+
+  /// The miss path of probe number `probe` for `key`, entered with the
+  /// shard locked: the adaptive decision, then pending registration,
+  /// `compute` without the lock, and publication. Returns with the lock
+  /// held, unless this miss disabled the memo.
+  template <typename Compute>
+  V Miss(Shard* shard, std::unique_lock<std::mutex>* lock, uint64_t probe,
+         uint64_t hash, std::string_view key, const Compute& compute) {
+    if (listener_.on_miss) listener_.on_miss();
+    if (options_.adaptive && probe >= options_.probe_window &&
+        hits_.load(std::memory_order_relaxed) == 0) {
+      // Every binding so far was distinct: memoization cannot pay here.
+      // Free the memory (the footnote-4 swap problem) and stop keying.
+      // The disable condition depends only on probe/hit counts, so
+      // checking before the compute reproduces the serial decision.
+      disabled_.store(true, std::memory_order_release);
+      if (listener_.on_disable) listener_.on_disable();
+      lock->unlock();
+      Clear();
+      return compute();
+    }
+
+    auto pending = std::make_shared<Pending>();
+    pending->hash = hash;
+    pending->key.assign(key);
+    shard->pending.push_back(pending);
+    lock->unlock();
+
+    V value = compute();
+
+    lock->lock();
+    shard->ErasePending(pending.get());
+    // A memo disabled meanwhile has freed its table; keep it empty.
+    if (!disabled()) Publish(shard, hash, pending->key, value);
+    pending->value = value;
+    pending->ready = true;
+    shard->cv.notify_all();
+    return value;
   }
 
   /// Evicts from the front (FIFO order, or least-recent under lru) until

@@ -99,16 +99,16 @@ void FilterOp::EvalScalarOnSelection(
         sel[out++] = row;
       }
     }
-  } else {
-    for (const uint32_t row : sel) {
-      const types::Tuple tuple = batch->RowAsTuple(row);
-      // Eval unconditionally: a maybe_null row must still invoke the
-      // expensive remainder (the scalar engine would), it just can't pass.
-      const bool pass = pred->Eval(tuple, &ctx_->eval);
-      if (pass && (maybe_null == nullptr || (*maybe_null)[row] == 0)) {
-        sel[out++] = row;
-      }
-    }
+    sel.resize(out);
+    return;
+  }
+  // FilterSelection evaluates every selected row — a maybe_null row must
+  // still invoke the expensive remainder (the scalar engine would) — and
+  // the maybe_null rows are dropped from its survivors.
+  pred->FilterSelection(nullptr, batch, &ctx_->eval);
+  if (maybe_null == nullptr) return;
+  for (const uint32_t row : sel) {
+    if ((*maybe_null)[row] == 0) sel[out++] = row;
   }
   sel.resize(out);
 }

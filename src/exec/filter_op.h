@@ -72,9 +72,12 @@ class FilterOp : public Operator {
   /// Narrows `batch`'s selection to the predicate's survivors (kernels +
   /// late expensive pass, or full scalar fallback).
   common::Status FilterColumns(types::ColumnBatch* batch);
-  /// Evaluates `pred` over the selected rows (parallel when configured),
-  /// leaving only passing rows selected; rows flagged in `maybe_null`
-  /// (when non-null) are evaluated but always dropped from the output.
+  /// Evaluates `pred` over the selected rows — fanned out as tuples when
+  /// parallel, else as one CachedPredicate::FilterSelection call (a batch
+  /// probe of the §5.1 cache keyed straight from the cells, with no tuple
+  /// built but inside a miss) — leaving only passing rows selected; rows
+  /// flagged in `maybe_null` (when non-null) are evaluated but always
+  /// dropped from the output.
   void EvalScalarOnSelection(CachedPredicate* pred, types::ColumnBatch* batch,
                              const std::vector<uint8_t>* maybe_null);
 

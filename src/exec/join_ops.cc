@@ -41,15 +41,12 @@ common::Status NestedLoopJoinOp::NextImpl(types::Tuple* tuple, bool* eof) {
       inner_pos_ = 0;
       inner_eof_ = false;
     }
+    // The selection holds only pairs that passed the primary predicate.
     const std::vector<uint32_t>& selection = inner_batch_.selection();
-    while (inner_pos_ < selection.size()) {
-      const uint32_t row = selection[inner_pos_++];
-      if (!primary_.has_value() ||
-          primary_->EvalPair(outer_tuple_, inner_batch_, row, &ctx_->eval)) {
-        *tuple = inner_batch_.ConcatRow(outer_tuple_, row);
-        *eof = false;
-        return common::Status::OK();
-      }
+    if (inner_pos_ < selection.size()) {
+      *tuple = inner_batch_.ConcatRow(outer_tuple_, selection[inner_pos_++]);
+      *eof = false;
+      return common::Status::OK();
     }
     if (inner_eof_) {
       have_outer_ = false;
@@ -58,6 +55,9 @@ common::Status NestedLoopJoinOp::NextImpl(types::Tuple* tuple, bool* eof) {
     PPP_RETURN_IF_ERROR(
         inner_->NextColumnBatch(batch_size_, &inner_batch_, &inner_eof_));
     inner_pos_ = 0;
+    if (primary_.has_value() && inner_batch_.selected() > 0) {
+      primary_->FilterSelection(&outer_tuple_, &inner_batch_, &ctx_->eval);
+    }
   }
 }
 

@@ -18,9 +18,12 @@ namespace ppp::exec {
 /// pulled as ColumnBatches (scans decode a page per pool fetch; row-only
 /// inners go through the default adapter) and walked along the selection
 /// vector. The primary predicate (possibly expensive, possibly absent for a
-/// cross product) is evaluated on each candidate pair through
-/// CachedPredicate::EvalPair, which probes the §5.1 cache by key; a joined
-/// tuple is built only for pairs that pass (and inside a cache miss).
+/// cross product) narrows each inner batch's selection in one
+/// CachedPredicate::FilterSelection call against the current outer tuple:
+/// one batch probe of the §5.1 cache, keyed from the outer values encoded
+/// once and the inner cells, whose verdicts, invocations and hits equal
+/// probing pair by pair. A joined tuple is built only for pairs that pass
+/// (and inside a cache miss's compute).
 class NestedLoopJoinOp : public Operator {
  public:
   NestedLoopJoinOp(std::unique_ptr<Operator> outer,

@@ -1,6 +1,7 @@
 #include "exec/operator.h"
 
 #include <chrono>
+#include <memory>
 #include <optional>
 
 #include "exec/shared_caches.h"
@@ -272,12 +273,56 @@ types::KeyEncoder& KeyScratch() {
   return encoder;
 }
 
+/// FilterSelection's scratch: the batch's keys written back to back, and
+/// the outer tuple's encoded values. Kept apart from KeyScratch because the
+/// keys must stay valid across every compute of the batch.
+struct SelectionScratch {
+  /// One piece of a key: encoded outer values [begin, end) of `outer`, or
+  /// (when `inner`) batch column `begin`.
+  struct Piece {
+    bool inner;
+    size_t begin;
+    size_t end;
+  };
+  types::KeyEncoder outer;
+  std::vector<Piece> pieces;
+  types::KeyEncoder keys;
+  std::vector<size_t> ends;
+  std::vector<std::string_view> views;
+};
+
+/// Lends one FilterSelection call this thread's spare SelectionScratch,
+/// and takes it back when the call ends. A compute may run a nested plan
+/// on this thread (a rewritten IN-subquery does) whose own FilterSelection
+/// would otherwise overwrite the keys the outer batch probe is still
+/// reading; a nested call finds no spare and allocates its own.
+class SelectionLease {
+ public:
+  SelectionLease() : scratch_(std::move(Spare())) {
+    if (scratch_ == nullptr) scratch_ = std::make_unique<SelectionScratch>();
+  }
+  ~SelectionLease() { Spare() = std::move(scratch_); }
+
+  SelectionLease(const SelectionLease&) = delete;
+  SelectionLease& operator=(const SelectionLease&) = delete;
+
+  SelectionScratch& operator*() { return *scratch_; }
+
+ private:
+  static std::unique_ptr<SelectionScratch>& Spare() {
+    thread_local std::unique_ptr<SelectionScratch> spare;
+    return spare;
+  }
+
+  std::unique_ptr<SelectionScratch> scratch_;
+};
+
 }  // namespace
 
 // The key is the values of the predicate's input columns, in the storage
 // wire format: the paper's "hash table keyed on the bindings of the input
-// variables". Eval and EvalPair encode the same binding to the same bytes,
-// so Filters and joins share cache entries.
+// variables". Eval and FilterSelection encode the same binding to the same
+// bytes, so Filters and joins share cache entries.
 
 bool CachedPredicate::Eval(const types::Tuple& tuple,
                            expr::EvalContext* ctx) {
@@ -289,24 +334,74 @@ bool CachedPredicate::Eval(const types::Tuple& tuple,
       key.bytes(), [&] { return bound_->EvalBool(tuple, ctx); });
 }
 
-bool CachedPredicate::EvalPair(const types::Tuple& outer,
-                               const types::ColumnBatch& inner, uint32_t row,
-                               expr::EvalContext* ctx) {
-  const auto eval_joined = [&] {
-    return bound_->EvalBool(inner.ConcatRow(outer, row), ctx);
+void CachedPredicate::FilterSelection(const types::Tuple* outer,
+                                      types::ColumnBatch* batch,
+                                      expr::EvalContext* ctx) {
+  std::vector<uint32_t>& sel = *batch->mutable_selection();
+  const auto eval_row = [&](uint32_t row) {
+    return bound_->EvalBool(outer != nullptr ? batch->ConcatRow(*outer, row)
+                                             : batch->RowAsTuple(row),
+                            ctx);
   };
-  if (!cache_enabled()) return eval_joined();
-  const size_t outer_width = outer.NumValues();
-  types::KeyEncoder& key = KeyScratch();
-  key.Begin(bound_->column_indexes().size());
-  for (size_t index : bound_->column_indexes()) {
-    if (index < outer_width) {
-      key.Add(outer.Get(index));
+  size_t out = 0;
+  if (!cache_enabled()) {
+    for (const uint32_t row : sel) {
+      if (eval_row(row)) sel[out++] = row;
+    }
+    sel.resize(out);
+    return;
+  }
+
+  SelectionLease lease;
+  SelectionScratch& scratch = *lease;
+  const std::vector<size_t>& columns = bound_->column_indexes();
+  const size_t outer_width = outer != nullptr ? outer->NumValues() : 0;
+  scratch.outer.Clear();
+  scratch.pieces.clear();
+  for (const size_t index : columns) {
+    if (index >= outer_width) {
+      scratch.pieces.push_back({true, index - outer_width, 0});
+      continue;
+    }
+    const size_t begin = scratch.outer.bytes().size();
+    scratch.outer.Add(outer->Get(index));
+    if (!scratch.pieces.empty() && !scratch.pieces.back().inner) {
+      scratch.pieces.back().end = scratch.outer.bytes().size();
     } else {
-      key.AddCell(inner, index - outer_width, row);
+      scratch.pieces.push_back({false, begin, scratch.outer.bytes().size()});
     }
   }
-  return cache_->GetOrCompute(key.bytes(), eval_joined);
+  const std::string_view outer_bytes = scratch.outer.bytes();
+  scratch.keys.Clear();
+  scratch.ends.clear();
+  for (const uint32_t row : sel) {
+    scratch.keys.BeginNext(columns.size());
+    for (const SelectionScratch::Piece& piece : scratch.pieces) {
+      if (piece.inner) {
+        scratch.keys.AddCell(*batch, piece.begin, row);
+      } else {
+        scratch.keys.AddEncoded(
+            outer_bytes.substr(piece.begin, piece.end - piece.begin));
+      }
+    }
+    scratch.ends.push_back(scratch.keys.bytes().size());
+  }
+  // Views are taken only now: the buffer may move while it grows.
+  const std::string_view all_keys = scratch.keys.bytes();
+  scratch.views.clear();
+  size_t begin = 0;
+  for (const size_t end : scratch.ends) {
+    scratch.views.push_back(all_keys.substr(begin, end - begin));
+    begin = end;
+  }
+  // Verdicts arrive in selection order, so the survivors are compacted in
+  // place: position `out` never passes the position being decided.
+  cache_->GetOrComputeBatch(
+      scratch.views, [&](size_t i) { return eval_row(sel[i]); },
+      [&](size_t i, bool pass) {
+        if (pass) sel[out++] = sel[i];
+      });
+  sel.resize(out);
 }
 
 }  // namespace ppp::exec

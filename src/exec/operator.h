@@ -298,13 +298,18 @@ class CachedPredicate {
   /// not invoke any function.
   bool Eval(const types::Tuple& tuple, expr::EvalContext* ctx);
 
-  /// Evaluates on the concatenation of `outer` and row `row` of `inner` (a
-  /// nested-loop join's candidate pair) without building it unless the
-  /// predicate has to run: on a cache miss, or with caching off. The cache
-  /// key is encoded straight from the outer values and the inner cells, to
-  /// the same bytes Eval would encode for the joined tuple.
-  bool EvalPair(const types::Tuple& outer, const types::ColumnBatch& inner,
-                uint32_t row, expr::EvalContext* ctx);
+  /// Narrows `batch`'s selection, in place and in order, to the rows on
+  /// which the predicate passes: evaluated on the concatenation of
+  /// `*outer` and the row (a nested-loop join's candidate pairs) when
+  /// `outer` is non-null, on the row alone otherwise. Equivalent to Eval on
+  /// each selected row's tuple, but with caching on the selection is one
+  /// batch probe of the memo: the outer values are encoded once per call,
+  /// each row's key appends only its own cells (in the predicate's column
+  /// order, which may interleave outer and batch columns), and a tuple is
+  /// built only inside a miss's compute. With caching off each row's tuple
+  /// is built and evaluated.
+  void FilterSelection(const types::Tuple* outer, types::ColumnBatch* batch,
+                       expr::EvalContext* ctx);
 
   bool cache_enabled() const {
     return cache_enabled_ && !cache_->disabled();

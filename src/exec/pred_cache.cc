@@ -27,8 +27,8 @@ ShardedPredicateCache::ShardedPredicateCache(const Options& options)
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   common::ShardedMemo<bool>::Listener listener;
   listener.on_hit = [counter = registry.GetCounter(
-                         "exec.predicate_cache.hits")] {
-    counter->Increment();
+                         "exec.predicate_cache.hits")](uint64_t count) {
+    counter->Increment(count);
   };
   listener.on_miss = [counter = registry.GetCounter(
                           "exec.predicate_cache.misses")] {
@@ -45,6 +45,8 @@ ShardedPredicateCache::ShardedPredicateCache(const Options& options)
                              "exec.predicate_cache.disables")] {
     counter->Increment();
   };
+  // Shard lock acquisitions that waited: one per probe, or one per run of
+  // same-shard keys in a batch probe.
   listener.on_contention = [counter = registry.GetCounter(
                                 "exec.predicate_cache.shard_contention")] {
     counter->Increment();

@@ -2,7 +2,9 @@
 #define PPP_EXEC_PRED_CACHE_H_
 
 #include <cstdint>
+#include <span>
 #include <string>
+#include <string_view>
 
 #include "common/sharded_memo.h"
 
@@ -43,8 +45,17 @@ class ShardedPredicateCache {
   /// Returns the cached verdict for `key`, evaluating `compute` at most
   /// once per distinct key (concurrent probers of an in-flight key wait).
   template <typename Compute>
-  bool GetOrCompute(const std::string& key, const Compute& compute) {
+  bool GetOrCompute(std::string_view key, const Compute& compute) {
     return memo_.GetOrCompute(key, compute);
+  }
+
+  /// Probes a batch of keys in order, exactly as one GetOrCompute per key
+  /// would (common::ShardedMemo::GetOrComputeBatch): `compute(i)` runs on
+  /// key i's miss, `emit(i, verdict)` once per key, in order.
+  template <typename Compute, typename Emit>
+  void GetOrComputeBatch(std::span<const std::string_view> keys,
+                         const Compute& compute, const Emit& emit) {
+    memo_.GetOrComputeBatch(keys, compute, emit);
   }
 
   bool disabled() const { return memo_.disabled(); }
@@ -53,6 +64,7 @@ class ShardedPredicateCache {
   uint64_t probes() const { return memo_.probes(); }
   uint64_t hits() const { return memo_.hits(); }
   uint64_t evictions() const { return memo_.evictions(); }
+  /// Shard lock acquisitions that waited for another worker.
   uint64_t contended_probes() const { return memo_.contended_probes(); }
 
  private:

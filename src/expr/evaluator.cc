@@ -15,8 +15,8 @@ FunctionCache::FunctionCache() {
   obs::MetricsRegistry& registry = obs::MetricsRegistry::Global();
   common::ShardedMemo<types::Value>::Listener listener;
   listener.on_hit = [counter = registry.GetCounter(
-                         "expr.function_cache.hits")] {
-    counter->Increment();
+                         "expr.function_cache.hits")](uint64_t count) {
+    counter->Increment(count);
   };
   listener.on_miss = [counter = registry.GetCounter(
                           "expr.function_cache.misses")] {

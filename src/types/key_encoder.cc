@@ -51,6 +51,10 @@ void KeyEncoder::Begin(size_t count, std::string_view tag) {
   AppendPod<uint32_t>(&bytes_, static_cast<uint32_t>(count));
 }
 
+void KeyEncoder::BeginNext(size_t count) {
+  AppendPod<uint32_t>(&bytes_, static_cast<uint32_t>(count));
+}
+
 void KeyEncoder::Add(const Value& value) { AppendValue(&bytes_, value); }
 
 void KeyEncoder::AppendRow(const std::vector<Value>& values,

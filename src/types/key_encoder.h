@@ -29,7 +29,18 @@ class KeyEncoder {
   /// never share bytes.
   void Begin(size_t count, std::string_view tag = {});
 
+  /// Starts another row of `count` values after the rows already in the
+  /// buffer, so one buffer can hold a whole batch of keys back to back.
+  void BeginNext(size_t count);
+
+  /// Empties the buffer, keeping its capacity.
+  void Clear() { bytes_.clear(); }
+
   void Add(const Value& value);
+
+  /// Appends bytes this format produced earlier (values encoded once and
+  /// repeated in many rows' keys).
+  void AddEncoded(std::string_view encoded) { bytes_.append(encoded); }
 
   /// Adds cell (`col`, `row`) of `batch` without boxing it into a Value;
   /// the bytes equal Add(batch.GetValue(col, row)).

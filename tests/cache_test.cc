@@ -429,6 +429,104 @@ TEST(ShardedMemoModelTest, SerialProbesMatchReferenceModel) {
   }
 }
 
+TEST(ShardedMemoModelTest, BatchedProbesMatchReferenceModel) {
+  // The serial test's keys and bounds, probed a batch at a time. A batch
+  // must behave as one GetOrCompute per key: the model probes key by key
+  // and, once disabled, computes without probing (what a serial caller
+  // checking disabled() per key does).
+  std::vector<std::string> universe;
+  for (int i = 0; i < 12; ++i) {
+    std::string key = "k";
+    key += std::to_string(1000000 + i);
+    if (i % 3 == 0) key += std::string(32, static_cast<char>('a' + i));
+    universe.push_back(key);
+  }
+  struct Case {
+    const char* name;
+    size_t max_entries;
+    size_t max_bytes;
+    bool adaptive;
+  };
+  const size_t entry = 8 + MemoModel::kOverhead;
+  const Case cases[] = {
+      {"entries", 5, 0, false},
+      {"bytes", 0, 5 * entry, false},
+      {"both", 3, 4 * entry, false},
+      {"adaptive", 0, 0, true},
+      {"adaptive-bounded", 6, 0, true},
+  };
+  for (const Case& c : cases) {
+    int disabled_runs = 0;
+    int runs = 0;
+    for (const size_t batch_size : {size_t{1}, size_t{3}, size_t{64}}) {
+      for (const bool lru : {false, true}) {
+        for (uint32_t seed = 1; seed <= 8; ++seed) {
+          SCOPED_TRACE(std::string(c.name) + (lru ? " lru" : " fifo") +
+                       " batch " + std::to_string(batch_size) + " seed " +
+                       std::to_string(seed));
+          common::ShardedMemo<std::string>::Options options;
+          options.max_entries = c.max_entries;
+          options.max_bytes = c.max_bytes;
+          options.lru = lru;
+          options.adaptive = c.adaptive;
+          // 5 probes: the window ends inside a batch of 3 or 64.
+          options.probe_window = 5;
+          common::ShardedMemo<std::string> memo(options);
+          MemoModel model(options);
+          std::mt19937 rng(seed);
+          std::uniform_int_distribution<size_t> pick(0, universe.size() - 1);
+          std::vector<std::string> computed;
+          std::vector<std::string> expected_computed;
+          for (int step = 0; step < 12; ++step) {
+            std::vector<std::string> batch;
+            for (size_t i = 0; i < batch_size; ++i) {
+              batch.push_back(universe[pick(rng)]);
+            }
+            for (const std::string& key : batch) {
+              if (model.disabled_ || !model.Probe(key)) {
+                expected_computed.push_back(key);
+              }
+            }
+            const std::vector<std::string_view> keys(batch.begin(),
+                                                     batch.end());
+            size_t emitted = 0;
+            memo.GetOrComputeBatch(
+                keys,
+                [&](size_t i) {
+                  computed.push_back(batch[i]);
+                  return "v" + batch[i];
+                },
+                [&](size_t i, const std::string& value) {
+                  ASSERT_EQ(i, emitted);
+                  ASSERT_EQ(value, "v" + batch[i]);
+                  ++emitted;
+                });
+            ASSERT_EQ(emitted, batch.size()) << "step " << step;
+            ASSERT_EQ(computed, expected_computed) << "step " << step;
+            ASSERT_EQ(memo.disabled(), model.disabled_);
+            ASSERT_EQ(memo.probes(), model.probes_);
+            ASSERT_EQ(memo.hits(), model.hits_);
+            ASSERT_EQ(memo.evictions(), model.evictions_);
+            ASSERT_EQ(memo.entries(), model.entries_.size());
+            ASSERT_EQ(memo.approx_bytes(), model.bytes_);
+            if (c.max_bytes > 0) {
+              ASSERT_LE(memo.approx_bytes(), c.max_bytes);
+            }
+          }
+          ++runs;
+          if (model.disabled_) ++disabled_runs;
+        }
+      }
+    }
+    // Adaptive runs must cover both outcomes: a hit inside the window
+    // keeps the memo, none disables it (mid-batch for batches of 3, 64).
+    if (c.adaptive) {
+      EXPECT_GT(disabled_runs, 0) << c.name;
+      EXPECT_LT(disabled_runs, runs) << c.name;
+    }
+  }
+}
+
 TEST(ShardedMemoConcurrencyTest, OverlappingProbersComputeEachKeyOnce) {
   common::ShardedMemo<int64_t>::Options options;
   options.shards = 8;
@@ -436,7 +534,7 @@ TEST(ShardedMemoConcurrencyTest, OverlappingProbersComputeEachKeyOnce) {
   std::atomic<uint64_t> hits{0};
   std::atomic<uint64_t> misses{0};
   common::ShardedMemo<int64_t>::Listener listener;
-  listener.on_hit = [&hits] { hits.fetch_add(1); };
+  listener.on_hit = [&hits](uint64_t count) { hits.fetch_add(count); };
   listener.on_miss = [&misses] { misses.fetch_add(1); };
   memo.set_listener(std::move(listener));
 
@@ -467,6 +565,63 @@ TEST(ShardedMemoConcurrencyTest, OverlappingProbersComputeEachKeyOnce) {
   EXPECT_EQ(computes.load(), static_cast<uint64_t>(kDistinct));
   EXPECT_EQ(memo.probes(), static_cast<uint64_t>(kThreads) * kProbesPerThread);
   EXPECT_EQ(hits.load() + misses.load(), memo.probes());
+  EXPECT_EQ(memo.hits(), hits.load());
+  EXPECT_EQ(misses.load(), computes.load());
+  EXPECT_EQ(memo.entries(), static_cast<size_t>(kDistinct));
+}
+
+TEST(ShardedMemoConcurrencyTest, OverlappingBatchProbersComputeEachKeyOnce) {
+  common::ShardedMemo<int64_t>::Options options;
+  options.shards = 8;
+  common::ShardedMemo<int64_t> memo(options);
+  std::atomic<uint64_t> hits{0};
+  std::atomic<uint64_t> misses{0};
+  common::ShardedMemo<int64_t>::Listener listener;
+  listener.on_hit = [&hits](uint64_t count) { hits.fetch_add(count); };
+  listener.on_miss = [&misses] { misses.fetch_add(1); };
+  memo.set_listener(std::move(listener));
+
+  constexpr int kThreads = 4;
+  constexpr int kBatches = 40;
+  constexpr int kBatchSize = 24;
+  constexpr int kDistinct = 64;
+  std::atomic<uint64_t> computes{0};
+  std::atomic<bool> wrong{false};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int b = 0; b < kBatches; ++b) {
+        // Overlapping walks from per-thread offsets, with keys repeated
+        // inside a batch, so keys are often pending in another thread.
+        std::vector<int64_t> ks;
+        std::vector<std::string> keys;
+        for (int i = 0; i < kBatchSize; ++i) {
+          const int64_t k = (b * 5 + (i % 16) * 3 + t * 11) % kDistinct;
+          ks.push_back(k);
+          keys.push_back(std::to_string(k) + "-key");
+        }
+        const std::vector<std::string_view> views(keys.begin(), keys.end());
+        size_t next = 0;
+        memo.GetOrComputeBatch(
+            views,
+            [&](size_t i) {
+              computes.fetch_add(1);
+              std::this_thread::sleep_for(std::chrono::microseconds(100));
+              return ks[i] * ks[i];
+            },
+            [&](size_t i, int64_t value) {
+              if (i != next++ || value != ks[i] * ks[i]) wrong.store(true);
+            });
+        if (next != keys.size()) wrong.store(true);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_FALSE(wrong.load());
+  EXPECT_EQ(computes.load(), static_cast<uint64_t>(kDistinct));
+  EXPECT_EQ(memo.probes(),
+            static_cast<uint64_t>(kThreads) * kBatches * kBatchSize);
+  EXPECT_EQ(memo.hits() + computes.load(), memo.probes());
   EXPECT_EQ(memo.hits(), hits.load());
   EXPECT_EQ(misses.load(), computes.load());
   EXPECT_EQ(memo.entries(), static_cast<size_t>(kDistinct));

@@ -820,7 +820,8 @@ TEST(KeyEncoderTest, FunctionCacheKeyMatchesNamePlusSerializedArgs) {
 /// o (outer, 9 rows) joins i (inner, 40 rows) on `pairfn`, an expensive
 /// cacheable predicate whose inputs cover NULL, int64, string and double
 /// columns and a boxed one: i.ib is declared INT64 but every fifth row
-/// stores a string. Small domains make bindings repeat, so the cache hits.
+/// stores a string. Small domains make bindings repeat, also inside one
+/// inner batch, so the cache hits within a batch probe as well as across.
 class NestLoopParityTest : public ::testing::Test {
  protected:
   enum class Inner { kScan, kFilter, kRowOnly };
@@ -864,9 +865,39 @@ class NestLoopParityTest : public ::testing::Test {
     return *info;
   }
 
-  static ExprPtr PairPredicate() {
-    return Call("pairfn", {Col("o", "on"), Col("o", "os"), Col("i", "in"),
-                           Col("i", "is"), Col("i", "ix"), Col("i", "ib")});
+  /// A join predicate over both inputs and, for the oracle, where each of
+  /// its arguments comes from: (outer?, column index).
+  struct PairCase {
+    std::string name;
+    ExprPtr expr;
+    std::vector<std::pair<bool, size_t>> args;
+  };
+
+  /// pairfn over outer then inner columns, and over the same columns with
+  /// outer and inner interleaved, so a key alternates encoded outer values
+  /// and inner cells.
+  static std::vector<PairCase> PairCases() {
+    return {
+        {"outer-first",
+         Call("pairfn", {Col("o", "on"), Col("o", "os"), Col("i", "in"),
+                         Col("i", "is"), Col("i", "ix"), Col("i", "ib")}),
+         {{true, 1}, {true, 2}, {false, 1}, {false, 2}, {false, 3},
+          {false, 4}}},
+        {"interleaved",
+         Call("pairfn", {Col("i", "in"), Col("o", "on"), Col("i", "is"),
+                         Col("i", "ix"), Col("o", "os"), Col("i", "ib")}),
+         {{false, 1}, {true, 1}, {false, 2}, {false, 3}, {true, 2},
+          {false, 4}}},
+    };
+  }
+
+  static std::vector<Value> PairArgs(const PairCase& c, const Tuple& o,
+                                     const Tuple& i) {
+    std::vector<Value> args;
+    for (const auto& [outer, index] : c.args) {
+      args.push_back(outer ? o.Get(index) : i.Get(index));
+    }
+    return args;
   }
 
   /// Inner rows the inner plan of `kind` yields, in order.
@@ -929,90 +960,277 @@ class NestLoopParityTest : public ::testing::Test {
 TEST_F(NestLoopParityTest, RowsAndInvocationsMatchAcrossCachingVectorInner) {
   auto def = catalog_.functions().Lookup("pairfn");
   ASSERT_TRUE(def.ok());
-  const expr::PredicateInfo primary = Analyze(PairPredicate());
-  for (const Inner kind : {Inner::kScan, Inner::kFilter, Inner::kRowOnly}) {
-    // Oracle: outer order x inner order, pairfn called directly.
-    std::vector<std::string> expected_rows;
-    std::set<std::string> distinct_keys;
-    uint64_t pairs = 0;
-    for (const Tuple& o : outer_rows_) {
-      for (const Tuple& i : InnerRows(kind)) {
-        const std::vector<Value> args = {o.Get(1), o.Get(2), i.Get(1),
-                                         i.Get(2), i.Get(3), i.Get(4)};
-        ++pairs;
-        distinct_keys.insert(Tuple(args).Serialize());
-        const Value verdict = (*def)->impl(args);
-        if (!verdict.is_null() && verdict.AsBool()) {
-          expected_rows.push_back(Tuple::Concat(o, i).Serialize());
+  for (const PairCase& pair : PairCases()) {
+    const expr::PredicateInfo primary = Analyze(pair.expr);
+    for (const Inner kind : {Inner::kScan, Inner::kFilter, Inner::kRowOnly}) {
+      // Oracle: outer order x inner order, pairfn called directly.
+      std::vector<std::string> expected_rows;
+      std::set<std::string> distinct_keys;
+      uint64_t pairs = 0;
+      for (const Tuple& o : outer_rows_) {
+        for (const Tuple& i : InnerRows(kind)) {
+          const std::vector<Value> args = PairArgs(pair, o, i);
+          ++pairs;
+          distinct_keys.insert(Tuple(args).Serialize());
+          const Value verdict = (*def)->impl(args);
+          if (!verdict.is_null() && verdict.AsBool()) {
+            expected_rows.push_back(Tuple::Concat(o, i).Serialize());
+          }
         }
       }
-    }
-    ASSERT_FALSE(expected_rows.empty());
-    ASSERT_LT(distinct_keys.size(), pairs);
+      ASSERT_FALSE(expected_rows.empty());
+      ASSERT_LT(distinct_keys.size(), pairs);
 
-    for (const Caching caching :
-         {Caching::kOff, Caching::kPrivate, Caching::kShared}) {
-      for (const bool vectorized : {false, true}) {
-        for (const size_t batch_size : {size_t{1024}, size_t{7}}) {
-          SCOPED_TRACE("inner=" + std::to_string(static_cast<int>(kind)) +
-                       " caching=" + std::to_string(static_cast<int>(caching)) +
-                       " vectorized=" + std::to_string(vectorized) +
-                       " batch=" + std::to_string(batch_size));
-          ExecParams params;
-          params.predicate_caching = caching != Caching::kOff;
-          params.vectorized = vectorized;
-          params.batch_size = batch_size;
-          exec::SharedPredicateCacheRegistry registry;
-          plan::PlanPtr plan =
-              plan::MakeJoin(plan::JoinMethod::kNestLoop,
-                             plan::MakeSeqScan("o", "o"), InnerPlan(kind),
-                             primary);
-          ExecStats stats;
-          const std::vector<std::string> rows =
-              Run(*plan, params,
-                  caching == Caching::kShared ? &registry : nullptr, &stats);
-          EXPECT_EQ(rows, expected_rows);
-          ASSERT_TRUE(stats.invocations.count("pairfn"));
-          EXPECT_EQ(stats.invocations.at("pairfn"),
-                    caching == Caching::kOff ? pairs : distinct_keys.size());
+      for (const Caching caching :
+           {Caching::kOff, Caching::kPrivate, Caching::kShared}) {
+        for (const bool vectorized : {false, true}) {
+          for (const size_t batch_size : {size_t{1}, size_t{7}, size_t{1024}}) {
+            SCOPED_TRACE(pair.name + " inner=" +
+                         std::to_string(static_cast<int>(kind)) +
+                         " caching=" +
+                         std::to_string(static_cast<int>(caching)) +
+                         " vectorized=" + std::to_string(vectorized) +
+                         " batch=" + std::to_string(batch_size));
+            ExecParams params;
+            params.predicate_caching = caching != Caching::kOff;
+            params.vectorized = vectorized;
+            params.batch_size = batch_size;
+            const uint64_t invocations =
+                caching == Caching::kOff ? pairs : distinct_keys.size();
+            const uint64_t hits =
+                caching == Caching::kOff ? 0 : pairs - distinct_keys.size();
+
+            // The join probes the cache one inner batch at a time.
+            exec::SharedPredicateCacheRegistry registry;
+            plan::PlanPtr plan =
+                plan::MakeJoin(plan::JoinMethod::kNestLoop,
+                               plan::MakeSeqScan("o", "o"), InnerPlan(kind),
+                               primary);
+            ExecStats stats;
+            std::unique_ptr<exec::Operator> root;
+            const std::vector<std::string> rows =
+                Run(*plan, params,
+                    caching == Caching::kShared ? &registry : nullptr, &stats,
+                    &root);
+            EXPECT_EQ(rows, expected_rows);
+            ASSERT_TRUE(stats.invocations.count("pairfn"));
+            EXPECT_EQ(stats.invocations.at("pairfn"), invocations);
+            ASSERT_NE(root, nullptr);
+            EXPECT_EQ(root->stats().cache_hits, hits);
+
+            // The row path: a Filter over the cross product evaluates the
+            // same predicate one tuple at a time.
+            exec::SharedPredicateCacheRegistry row_registry;
+            plan::PlanPtr row_plan = plan::MakeFilter(
+                plan::MakeJoin(plan::JoinMethod::kNestLoop,
+                               plan::MakeSeqScan("o", "o"), InnerPlan(kind),
+                               expr::PredicateInfo{}),
+                primary);
+            ExecStats row_stats;
+            std::unique_ptr<exec::Operator> row_root;
+            EXPECT_EQ(Run(*row_plan, params,
+                          caching == Caching::kShared ? &row_registry
+                                                      : nullptr,
+                          &row_stats, &row_root),
+                      rows);
+            EXPECT_EQ(row_stats.invocations.at("pairfn"), invocations);
+            ASSERT_NE(row_root, nullptr);
+            EXPECT_EQ(row_root->stats().cache_hits, hits);
+          }
         }
       }
     }
   }
 }
 
+/// The columnar Filter probes its cache one selection at a time, keyed from
+/// the batch's cells: as a nested-loop inner it is rescanned per outer row,
+/// and must match a row-path Filter over the cross product in rows, order,
+/// invocations and cache hits.
+TEST_F(NestLoopParityTest, ColumnarFilterMatchesRowFilter) {
+  const expr::PredicateInfo pred = Analyze(
+      Call("pairfn", {Col("i", "ib"), Col("i", "in"), Col("i", "is"),
+                      Col("i", "ix")}));
+  std::set<std::string> distinct_keys;
+  for (const Tuple& i : inner_rows_) {
+    distinct_keys.insert(
+        Tuple({i.Get(4), i.Get(1), i.Get(2), i.Get(3)}).Serialize());
+  }
+  const uint64_t probes = outer_rows_.size() * inner_rows_.size();
+  ASSERT_LT(distinct_keys.size(), inner_rows_.size());
+  for (const Caching caching :
+       {Caching::kOff, Caching::kPrivate, Caching::kShared}) {
+    for (const size_t batch_size : {size_t{1}, size_t{7}, size_t{1024}}) {
+      SCOPED_TRACE("caching=" + std::to_string(static_cast<int>(caching)) +
+                   " batch=" + std::to_string(batch_size));
+      ExecParams params;
+      params.predicate_caching = caching != Caching::kOff;
+      params.vectorized = true;
+      params.batch_size = batch_size;
+      const uint64_t invocations =
+          caching == Caching::kOff ? probes : distinct_keys.size();
+      const uint64_t hits =
+          caching == Caching::kOff ? 0 : probes - distinct_keys.size();
+
+      exec::SharedPredicateCacheRegistry registry;
+      plan::PlanPtr columnar = plan::MakeJoin(
+          plan::JoinMethod::kNestLoop, plan::MakeSeqScan("o", "o"),
+          plan::MakeFilter(plan::MakeSeqScan("i", "i"), pred),
+          expr::PredicateInfo{});
+      ExecStats stats;
+      std::unique_ptr<exec::Operator> root;
+      const std::vector<std::string> rows =
+          Run(*columnar, params,
+              caching == Caching::kShared ? &registry : nullptr, &stats,
+              &root);
+      ASSERT_FALSE(rows.empty());
+      EXPECT_EQ(stats.invocations.at("pairfn"), invocations);
+      ASSERT_NE(root, nullptr);
+      ASSERT_EQ(root->Children().size(), 2u);
+      EXPECT_EQ(root->Children()[1]->stats().cache_hits, hits);
+
+      exec::SharedPredicateCacheRegistry row_registry;
+      plan::PlanPtr row_plan = plan::MakeFilter(
+          plan::MakeJoin(plan::JoinMethod::kNestLoop,
+                         plan::MakeSeqScan("o", "o"),
+                         plan::MakeSeqScan("i", "i"), expr::PredicateInfo{}),
+          pred);
+      ExecStats row_stats;
+      std::unique_ptr<exec::Operator> row_root;
+      EXPECT_EQ(Run(*row_plan, params,
+                    caching == Caching::kShared ? &row_registry : nullptr,
+                    &row_stats, &row_root),
+                rows);
+      EXPECT_EQ(row_stats.invocations.at("pairfn"), invocations);
+      ASSERT_NE(row_root, nullptr);
+      EXPECT_EQ(row_root->stats().cache_hits, hits);
+    }
+  }
+}
+
 /// A Filter over the cross product keys its cache from Tuples; the join
-/// keys the same predicate's cache from inner column cells. On a shared
-/// registry the second plan must find every binding the first computed.
+/// keys the same predicate's cache from the outer values and inner column
+/// cells. On a shared registry the second plan must find every binding the
+/// first computed, at every inner batch size and column order.
 TEST_F(NestLoopParityTest, FilterAndJoinShareCacheKeys) {
-  const expr::PredicateInfo pred = Analyze(PairPredicate());
-  exec::SharedPredicateCacheRegistry registry;
-  ExecParams params;
+  for (const PairCase& pair : PairCases()) {
+    for (const size_t batch_size : {size_t{1}, size_t{7}, size_t{1024}}) {
+      SCOPED_TRACE(pair.name + " batch=" + std::to_string(batch_size));
+      const expr::PredicateInfo pred = Analyze(pair.expr);
+      exec::SharedPredicateCacheRegistry registry;
+      ExecParams params;
+      params.batch_size = batch_size;
 
-  plan::PlanPtr filter_plan = plan::MakeFilter(
-      plan::MakeJoin(plan::JoinMethod::kNestLoop, plan::MakeSeqScan("o", "o"),
-                     plan::MakeSeqScan("i", "i"), expr::PredicateInfo{}),
-      pred);
-  ExecStats filter_stats;
-  const std::vector<std::string> filter_rows =
-      Run(*filter_plan, params, &registry, &filter_stats);
-  ASSERT_TRUE(filter_stats.invocations.count("pairfn"));
-  EXPECT_GT(filter_stats.invocations.at("pairfn"), 0u);
+      plan::PlanPtr filter_plan = plan::MakeFilter(
+          plan::MakeJoin(plan::JoinMethod::kNestLoop,
+                         plan::MakeSeqScan("o", "o"),
+                         plan::MakeSeqScan("i", "i"), expr::PredicateInfo{}),
+          pred);
+      ExecStats filter_stats;
+      const std::vector<std::string> filter_rows =
+          Run(*filter_plan, params, &registry, &filter_stats);
+      ASSERT_TRUE(filter_stats.invocations.count("pairfn"));
+      EXPECT_GT(filter_stats.invocations.at("pairfn"), 0u);
 
-  plan::PlanPtr join_plan = plan::MakeJoin(
-      plan::JoinMethod::kNestLoop, plan::MakeSeqScan("o", "o"),
-      plan::MakeSeqScan("i", "i"), pred);
-  ExecStats join_stats;
-  std::unique_ptr<exec::Operator> root;
-  const std::vector<std::string> join_rows =
-      Run(*join_plan, params, &registry, &join_stats, &root);
-  EXPECT_EQ(join_rows, filter_rows);
-  const auto calls = join_stats.invocations.find("pairfn");
-  EXPECT_TRUE(calls == join_stats.invocations.end() || calls->second == 0);
-  ASSERT_NE(root, nullptr);
-  const exec::OperatorStats& join_op = root->stats();
-  EXPECT_TRUE(join_op.cache_enabled);
-  EXPECT_EQ(join_op.cache_hits, outer_rows_.size() * inner_rows_.size());
+      plan::PlanPtr join_plan = plan::MakeJoin(
+          plan::JoinMethod::kNestLoop, plan::MakeSeqScan("o", "o"),
+          plan::MakeSeqScan("i", "i"), pred);
+      ExecStats join_stats;
+      std::unique_ptr<exec::Operator> root;
+      const std::vector<std::string> join_rows =
+          Run(*join_plan, params, &registry, &join_stats, &root);
+      EXPECT_EQ(join_rows, filter_rows);
+      const auto calls = join_stats.invocations.find("pairfn");
+      EXPECT_TRUE(calls == join_stats.invocations.end() || calls->second == 0);
+      ASSERT_NE(root, nullptr);
+      const exec::OperatorStats& join_op = root->stats();
+      EXPECT_TRUE(join_op.cache_enabled);
+      EXPECT_EQ(join_op.cache_hits, outer_rows_.size() * inner_rows_.size());
+    }
+  }
+}
+
+/// A cached predicate whose function runs a nested plan on the same thread,
+/// as a rewritten IN-subquery does. The nested plan batch-probes a cache of
+/// its own (a nested-loop join on `pairfn`) while the outer batch probe is
+/// still in flight, so the outer keys must not live anywhere the nested
+/// probe writes. Rows and invocations must match the caching-off run.
+TEST_F(NestLoopParityTest, NestedPlanInsideComputeKeepsOuterKeys) {
+  const PairCase nested_pair = PairCases()[1];
+  const expr::PredicateInfo nested_primary = Analyze(nested_pair.expr);
+  uint64_t nested_runs = 0;
+  catalog::FunctionDef def;
+  def.name = "nestfn";
+  def.cost_per_call = 100;
+  def.selectivity = 0.3;
+  def.cacheable = true;
+  def.parallel_safe = false;
+  def.impl = [&](const std::vector<Value>& args) {
+    ++nested_runs;
+    ExecParams nested_params;
+    nested_params.predicate_caching = true;
+    nested_params.vectorized = true;
+    nested_params.batch_size = 1024;
+    plan::PlanPtr nested = plan::MakeJoin(
+        plan::JoinMethod::kNestLoop, plan::MakeSeqScan("o", "o"),
+        plan::MakeSeqScan("i", "i"), nested_primary);
+    ExecStats nested_stats;
+    const size_t count =
+        Run(*nested, nested_params, nullptr, &nested_stats).size();
+    uint64_t h = count;
+    for (const Value& v : args) h = h * 31 + static_cast<uint64_t>(v.Hash());
+    return Value(h % 3 == 0);
+  };
+  ASSERT_TRUE(catalog_.functions().Register(std::move(def)).ok());
+
+  // The join's primary keys on outer and inner columns; the Filter (a
+  // rescanned nested-loop inner) keys on inner columns only.
+  const expr::PredicateInfo join_pred =
+      Analyze(Call("nestfn", {Col("i", "in"), Col("o", "on"),
+                              Col("i", "is")}));
+  const expr::PredicateInfo filter_pred =
+      Analyze(Call("nestfn", {Col("i", "ib"), Col("i", "in")}));
+  std::set<std::string> join_keys;
+  std::set<std::string> filter_keys;
+  for (const Tuple& o : outer_rows_) {
+    for (const Tuple& i : inner_rows_) {
+      join_keys.insert(Tuple({i.Get(1), o.Get(1), i.Get(2)}).Serialize());
+      filter_keys.insert(Tuple({i.Get(4), i.Get(1)}).Serialize());
+    }
+  }
+  const uint64_t pairs = outer_rows_.size() * inner_rows_.size();
+  for (const bool join : {true, false}) {
+    const plan::PlanPtr plan =
+        join ? plan::MakeJoin(plan::JoinMethod::kNestLoop,
+                              plan::MakeSeqScan("o", "o"),
+                              plan::MakeSeqScan("i", "i"), join_pred)
+             : plan::MakeJoin(plan::JoinMethod::kNestLoop,
+                              plan::MakeSeqScan("o", "o"),
+                              plan::MakeFilter(plan::MakeSeqScan("i", "i"),
+                                               filter_pred),
+                              expr::PredicateInfo{});
+    const uint64_t distinct = join ? join_keys.size() : filter_keys.size();
+    for (const size_t batch_size : {size_t{1}, size_t{7}, size_t{1024}}) {
+      SCOPED_TRACE(std::string(join ? "join" : "filter") +
+                   " batch=" + std::to_string(batch_size));
+      ExecParams params;
+      params.vectorized = true;
+      params.batch_size = batch_size;
+      params.predicate_caching = false;
+      ExecStats off_stats;
+      const std::vector<std::string> off_rows =
+          Run(*plan, params, nullptr, &off_stats);
+      ASSERT_FALSE(off_rows.empty());
+      EXPECT_EQ(off_stats.invocations.at("nestfn"), pairs);
+
+      params.predicate_caching = true;
+      nested_runs = 0;
+      ExecStats on_stats;
+      EXPECT_EQ(Run(*plan, params, nullptr, &on_stats), off_rows);
+      EXPECT_EQ(on_stats.invocations.at("nestfn"), distinct);
+      EXPECT_EQ(nested_runs, distinct);
+    }
+  }
 }
 
 }  // namespace
